@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -43,21 +44,32 @@ def check_to_csv_row(c: IdentityCheck, cfg: RunConfig) -> str:
 
 
 def _run_dir(cfg: RunConfig) -> Path:
+    """A fresh directory per run; mkdir itself claims the name, so two runs
+    started in the same second with the same seed get distinct ones."""
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     base = Path(cfg.out_dir)
     k = 0
     while True:
         suffix = f"-{k}" if k else ""
         d = base / f"{stamp}-seed{cfg.master_seed}{suffix}"
-        if not d.exists():
-            d.mkdir(parents=True)
+        try:
+            d.mkdir(parents=True, exist_ok=False)
             return d
-        k += 1
+        except FileExistsError:
+            k += 1
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it into place,
+    so a reader never sees a partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8", newline="\n")
+    os.replace(tmp, path)
 
 
 def write_results(run_dir: Path, cfg: RunConfig, rows: list[IdentityCheck]) -> None:
     body = "\n".join([CSV_HEADER] + [check_to_csv_row(c, cfg) for c in rows]) + "\n"
-    (run_dir / "results.csv").write_text(body, encoding="utf-8", newline="\n")
+    _write_atomic(run_dir / "results.csv", body)
     summary = {
         "config": cfg.as_dict(),
         "rows": [{
@@ -69,8 +81,8 @@ def write_results(run_dir: Path, cfg: RunConfig, rows: list[IdentityCheck]) -> N
             "verdict": c.verdict, "note": c.note,
         } for c in rows],
     }
-    (run_dir / "summary.json").write_text(
-        json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    _write_atomic(run_dir / "summary.json",
+                  json.dumps(summary, indent=1, sort_keys=True) + "\n")
 
 
 def exit_code(rows: list[IdentityCheck]) -> int:
@@ -155,13 +167,11 @@ def cmd_sample(cfg: RunConfig, kind: str, n_sample: int) -> int:
     for r in range(n_rows):
         vals = [(_fmt(c[r]) if r < len(c) else "") for c in cols]
         lines.append(_fmt(r * cfg.dt) + "," + ",".join(vals))
-    (run_dir / "paths.csv").write_text("\n".join(lines) + "\n",
-                                       encoding="utf-8", newline="\n")
+    _write_atomic(run_dir / "paths.csv", "\n".join(lines) + "\n")
     if meta:
         mlines = ["path,weight,u,censored"] + [
             f"{i},{_fmt(w)},{_fmt(u)},{c}" for i, w, u, c in meta]
-        (run_dir / "meta.csv").write_text("\n".join(mlines) + "\n",
-                                          encoding="utf-8", newline="\n")
+        _write_atomic(run_dir / "meta.csv", "\n".join(mlines) + "\n")
     print(f"wrote {run_dir}/paths.csv")
     return 0
 
@@ -219,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("kind", choices=["bm", "bridge", "bessel3",
                                       "symmetrized-bessel", "w"])
     p_s.add_argument("--paths", type=int, default=8)
-    p_v = sub.add_parser("verify", help="run one named experiment")
-    p_v.add_argument("name", choices=sorted(REGISTRY))
+    p_v = sub.add_parser("verify", help="run named experiments")
+    p_v.add_argument("names", nargs="+", choices=sorted(REGISTRY))
     sub.add_parser("verify-all", help="run the full battery")
     p_r = sub.add_parser("report", help="aggregate summary.json files")
     p_r.add_argument("dirs", nargs="+")
@@ -244,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "sample":
         return cmd_sample(cfg, args.kind, args.paths)
     if args.command == "verify":
-        return cmd_verify(cfg, [args.name])
+        return cmd_verify(cfg, list(dict.fromkeys(args.names)))
     if args.command == "verify-all":
         return cmd_verify(cfg, BATTERY)
     raise AssertionError("unreachable")

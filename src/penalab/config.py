@@ -20,7 +20,6 @@ class RunConfig:
     master_seed: int = 20070845
     theta: float = 1.0          # gamma proposal scale for exp(-g)-damped functionals
     theta_heavy: float = 10.0   # heavy proposal scale for polynomially decaying ones
-    eps_localtime: float = 0.0  # 0 means the default sqrt(dt)
     L: float = 50.0             # Sturm-Liouville half-width
     dx: float = 1e-3            # Sturm-Liouville step
     ci_level: float = CI_FOUR_SE

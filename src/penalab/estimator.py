@@ -17,7 +17,7 @@ from .samplers import substream
 
 __all__ = [
     "EstimatorResult", "IdentityCheck", "derive_seed", "mc_estimate",
-    "run_chunked", "bm_chunk_pass", "path_pass", "CHUNK",
+    "run_chunked", "ordered_map", "bm_chunk_pass", "path_pass", "CHUNK",
 ]
 
 CHUNK = 256                      # fixed: part of the reproducibility contract
@@ -137,14 +137,20 @@ def run_chunked(n_paths: int, seed: int, chunk_fn, n_workers: int = 1) -> dict:
         for name, (vals, cens) in out.items():
             accs.setdefault(name, _Accum()).add_chunk(vals, cens)
 
-    if n_workers <= 1:
-        for s, m in jobs:
-            _consume(chunk_fn(seed, s, m))
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            for out in ex.map(lambda j: chunk_fn(seed, j[0], j[1]), jobs):
-                _consume(out)
+    for out in ordered_map(lambda j: chunk_fn(seed, j[0], j[1]), jobs, n_workers):
+        _consume(out)
     return accs
+
+
+def ordered_map(fn, items, n_workers: int = 1):
+    """Yield fn(item) for each item, in item order.  With n_workers > 1 the
+    calls run on a thread pool; results are still yielded in order, so a
+    caller that reduces them in that order gets the same bits."""
+    if n_workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=n_workers) as ex:
+        yield from ex.map(fn, items)
 
 
 def mc_estimate(functional, sampler, n_paths: int, seed: int,

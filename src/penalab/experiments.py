@@ -23,7 +23,7 @@ from scipy import integrate as sq
 
 from .config import RunConfig
 from .estimator import (EstimatorResult, IdentityCheck, bm_chunk_pass,
-                        derive_seed, path_pass, run_chunked)
+                        derive_seed, ordered_map, path_pass, run_chunked)
 from .functionals import (abs_gauss_exp_moment, exp_density, f_phi_integral,
                           fk_log_weight, gaussian_envelope, local_time_signed,
                           occupation_integral, phi_a, wiener_integral)
@@ -280,9 +280,8 @@ def exp_kernel_identity(cfg: RunConfig) -> list[IdentityCheck]:
     Vs = (("V=d0", V_D0), ("V=2d0", V_2D0), ("V=box", V_BOX))
     ts = (1.0, 4.0)
     rows = []
+    phis = {tag: _phi_hat(V, cfg) for tag, V in Vs}
     for x in (0.0, 1.0):
-        phis = {tag: _phi_hat(V, cfg) for tag, V in Vs}
-
         def eval_lhs(X):
             out = {}
             for tag, V in Vs:
@@ -519,40 +518,45 @@ def exp_translation_identity(cfg: RunConfig) -> list[IdentityCheck]:
     grid = TimeGrid(t_max=cfg.t_max, dt=cfg.dt, n=n)
     prop = WProposal(kind="heavy", theta=cfg.theta_heavy)
     k1 = int(round(1.0 / cfg.dt))
-    hs = {ftag: _grid_h(f, n, cfg.dt) for ftag, f, _, _ in _MAIN_COMBOS}
+    fs = {ftag.split("/")[0]: f for ftag, f, _, _ in _MAIN_COMBOS}
+    hs = {fkey: _grid_h(f, n, cfg.dt) for fkey, f in fs.items()}
     trunc_ts = (0.5, 3.0)
-    h_trunc = {T: _grid_h(F_HALF, n, cfg.dt, T=T) for T in trunc_ts}
-
-    def gamma_log(V, values):
-        gi = last_exit_index(values)
-        return -gi * cfg.dt + fk_log_weight(V, values, cfg.dt)
+    h_trunc = {f"T={T}": _grid_h(F_HALF, n, cfg.dt, T=T) for T in trunc_ts}
 
     def make(gen, idx):
         wp = sample_W(prop, grid, gen)
         X = wp.path.values
         w = wp.weight
+        # each distinct path once: X, X + h per drift f, X + h^T per T;
+        # exp(-g) K(V) once per (V, path)
+        paths = {"X": X}
+        paths.update((key, X + h) for key, h in (hs | h_trunc).items())
+        exits = {key: last_exit_index(v) for key, v in paths.items()}
+        gammas = {}
+
+        def gamma(V, key):
+            if (V, key) not in gammas:
+                gammas[V, key] = float(np.exp(-exits[key] * cfg.dt
+                                              + fk_log_weight(V, paths[key], cfg.dt)))
+            return gammas[V, key]
+
+        ee = {fkey: float(exp_density(f, X, cfg.dt)) for fkey, f in fs.items()}
         out = {}
-        ee = {}
         for ftag, f, V, gk in _MAIN_COMBOS:
-            if ftag.split("/")[0] not in ee:
-                key = ftag.split("/")[0]
-                ee[key] = float(exp_density(f, X, cfg.dt))
-            Y = X + hs[ftag]
-            gl = float(np.exp(gamma_log(V, Y)))
-            gr = float(np.exp(gamma_log(V, X)))
+            fkey = ftag.split("/")[0]
+            Y = paths[fkey]
             Gl = float(_sigmoid(Y[k1])) if gk == "sig" else 1.0
             Gr = float(_sigmoid(X[k1])) if gk == "sig" else 1.0
-            lhs = w * Gl * gl
-            rhs = w * Gr * gr * ee[ftag.split("/")[0]]
+            lhs = w * Gl * gamma(V, fkey)
+            rhs = w * Gr * gamma(V, "X") * ee[fkey]
             out[f"{ftag}/diff"] = (lhs - rhs, wp.censored)
             out[f"{ftag}/lhs"] = (lhs, wp.censored)
         # f = 0 control: same functional on both sides, difference exactly 0
-        g0 = float(np.exp(gamma_log(V_D0, X)))
+        g0 = gamma(V_D0, "X")
         out["control/diff"] = (w * g0 - w * g0 * 1.0, wp.censored)
         # truncated-drift form, f = half, V = d0, G = 1
         for T in trunc_ts:
-            YT = X + h_trunc[T]
-            lhs = w * float(np.exp(gamma_log(V_D0, YT)))
+            lhs = w * gamma(V_D0, f"T={T}")
             rhs = w * g0 * float(exp_density(F_HALF, X, cfg.dt, t=T))
             out[f"trunc/T={T}/diff"] = (lhs - rhs, wp.censored)
         return out
@@ -596,12 +600,14 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
     prop = WProposal(kind="gamma", theta=cfg.theta, alpha=1.0)
     edges = np.arange(0.0, 6.5, 0.5)
     nb = len(edges) - 1
+    need = int(round(f.support_end / cfg.dt))
 
     def make(gen, idx):
-        wp = sample_W(prop, grid, gen)
+        # reads u and X up to the support end of f: the draw stops there
+        wp = sample_W(prop, grid, gen, need=need)
         X = wp.path.values
         damp = np.exp(-wp.u) * wp.weight
-        e = float(exp_density(f, X, cfg.dt)) * damp
+        e = float(exp_density(f, X, cfg.dt, t=f.support_end)) * damp
         out = {}
         b = int(np.searchsorted(edges, wp.u, side="left")) - 1
         for k in range(nb):
@@ -623,40 +629,50 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
         seed_n = derive_seed(cfg.master_seed, f"exit-rhs-{seed_tag}")
         gen_pi = substream(seed_n, 0)
         gen_r = substream(seed_n, 1)
-        # bridge factor: exact telescoping of the step integrand
-        kf = min(int(round(f.support_end / cfg.dt)), ku)
-        zb = gen_pi.standard_normal((n_inner, ku)) * np.sqrt(cfg.dt)
-        B = np.concatenate([np.zeros((n_inner, 1)), np.cumsum(zb, axis=1)], axis=1)
-        B -= (np.arange(ku + 1) * cfg.dt / u_snap) * B[:, -1][:, None]
-        B[:, -1] = 0.0
-        pib = np.exp((B[:, kf] - B[:, 0]) - 0.5 * f.l2sq_partial(u_snap))
+        # bridge factor: exact telescoping of the step integrand, so only
+        # the pinned bridge at kf is read (0 when the support covers u)
+        kf = min(need, ku)
+        W = gen_pi.standard_normal((n_inner, ku))
+        W *= np.sqrt(cfg.dt)
+        np.cumsum(W, axis=1, out=W)
+        if kf == ku:
+            b_kf = np.zeros(n_inner)
+        else:
+            b_kf = W[:, kf - 1] - (kf * cfg.dt / u_snap) * W[:, -1]
+        pib = np.exp(b_kf - 0.5 * f.l2sq_partial(u_snap))
         pi_m, pi_se = pib.mean(), pib.std() / np.sqrt(n_inner)
         r = f.support_end - u_snap
         if r <= 0:
             return pi_m, pi_se
         kr = int(round(r / cfg.dt))
-        z3 = gen_r.standard_normal((n_inner, kr, 3)) * np.sqrt(cfg.dt)
-        W3 = np.cumsum(z3, axis=1)
-        bes = np.sqrt(np.einsum("nij,nij->ni", W3, W3))
+        W3 = gen_r.standard_normal((n_inner, kr, 3))
+        W3 *= np.sqrt(cfg.dt)
+        np.cumsum(W3, axis=1, out=W3)
+        end = W3[:, -1]
+        bes = np.sqrt(np.einsum("nj,nj->n", end, end))
         epsv = np.where(gen_r.random(n_inner) < 0.5, 1.0, -1.0)
-        rb = np.exp(epsv * bes[:, -1] - 0.5 * r)
+        rb = np.exp(epsv * bes - 0.5 * r)
         r_m, r_se = rb.mean(), rb.std() / np.sqrt(n_inner)
         return pi_m * r_m, abs(pi_m) * r_se + abs(r_m) * pi_se
 
     n_inner = max(500, cfg.n_paths // 40)
+    # uniform Simpson nodes in s = sqrt(u), 5 per bin; factors() snaps u=0
+    # to dt, where the pinned bridge factor is exp(-dt/2) ~ 1.  Every node
+    # has its own seed tag, so the nodes run on the workers in any order.
+    s_nodes = [np.linspace(np.sqrt(edges[k]), np.sqrt(edges[k + 1]), 5) for k in range(nb)]
+    nodes = [(s, f"{k}-{j}") for k in range(nb) for j, s in enumerate(s_nodes[k])]
+    node_out = list(ordered_map(lambda node: factors(node[0] * node[0], node[1], n_inner),
+                                nodes, cfg.n_workers))
     rows = []
     for k in range(nb):
         lo, hi = edges[k], edges[k + 1]
-        # uniform Simpson nodes in s = sqrt(u); factors() snaps u=0 to dt,
-        # where the pinned bridge factor is exp(-dt/2) ~ 1
-        s_nodes = np.linspace(np.sqrt(lo), np.sqrt(hi), 5)
         vals, ses = [], []
-        for j, s in enumerate(s_nodes):
-            m, se = factors(s * s, f"{k}-{j}", n_inner)
+        for j, s in enumerate(s_nodes[k]):
+            m, se = node_out[5 * k + j]
             vals.append(np.sqrt(2.0 / np.pi) * np.exp(-s * s) * m)
             ses.append(np.sqrt(2.0 / np.pi) * np.exp(-s * s) * se)
         # Simpson over s on 5 nodes (first bin: lower node nudged off 0)
-        ww = (s_nodes[-1] - s_nodes[0]) / 12.0 * np.array([1, 4, 2, 4, 1])
+        ww = (s_nodes[k][-1] - s_nodes[k][0]) / 12.0 * np.array([1, 4, 2, 4, 1])
         rhs_val = float(np.dot(ww, vals))
         rhs_se = float(np.dot(ww, ses))
         rhs = EstimatorResult(mean=rhs_val, std_error=rhs_se, n_paths=5 * n_inner,
@@ -797,9 +813,11 @@ def exp_tail_vanishing(cfg: RunConfig) -> list[IdentityCheck]:
     grid = TimeGrid(t_max=cfg.t_max, dt=cfg.dt, n=n)
     prop = WProposal(kind="gamma", theta=cfg.theta, alpha=1.0)
     ts = (0.0, 1.0, 2.0, 5.0)
+    need = int(round(F_UNIT.support_end / cfg.dt))
 
     def make(gen, idx):
-        wp = sample_W(prop, grid, gen)
+        # reads u and X up to the support end of F_UNIT: the draw stops there
+        wp = sample_W(prop, grid, gen, need=need)
         X = wp.path.values
         out = {}
         for ftag, f in (("f=0", F_ZERO), ("f=unit", F_UNIT)):

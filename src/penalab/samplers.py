@@ -5,7 +5,10 @@ Reproducibility contract: one Philox substream per path index, keyed by
 (master_seed, stream_index).  Identical (master_seed, stream_index, config)
 reproduce a path bit-for-bit regardless of batching or thread count.  Inside
 one sigma-finite draw the consumption order is fixed: bridge length, bridge
-normals, global sign, Bessel normals.
+normals, global sign, Bessel normals.  Because the Bessel normals come last,
+a draw cut at a horizon index (``sample_W(..., need=k)``) is a bit-exact
+prefix of the full draw; it serves functionals that read the path only up
+to max(index(u), k), and its grid is the prefix's, not the horizon's.
 
 Two proposals are available for the bridge-length integral du / sqrt(2 pi u):
 
@@ -193,23 +196,31 @@ class WProposal:
 
 
 def sample_W(proposal: WProposal, grid: TimeGrid,
-             rng: np.random.Generator) -> WeightedPath:
+             rng: np.random.Generator, need: int | None = None) -> WeightedPath:
     """One weighted draw: bridge of sampled length u glued to a symmetrized
     Bessel path, with the importance weight of the proposal.
 
     The mean of weight * F(path) over draws estimates the sigma-finite
-    integral of F (restricted to {g <= t_max} for the heavy proposal)."""
+    integral of F (restricted to {g <= t_max} for the heavy proposal).
+
+    With ``need`` the Bessel leg stops at m = min(grid.n, max(index(u), need))
+    and the path lives on ``grid.restricted(m)``: its values, weight, u and
+    censor flag are a bit-exact prefix of the full draw from the same
+    generator.  Such a draw serves only functionals that read indices up to
+    m; ``path.grid.n`` and ``last_exit_time(path).censored`` describe the
+    prefix, not the horizon, and must not be read."""
     proposal.validate(grid.t_max)
     u_raw, w, censored = proposal.draw(grid.t_max, rng)
     ku = min(max(int(round(u_raw / grid.dt)), 1), grid.n - 1)
     bridge = _bridge_values(ku, grid.dt, rng)
     eps = 1.0 if rng.random() < 0.5 else -1.0
-    bes = _bessel3_values(0.0, grid.n - ku, grid.dt, rng)
-    v = np.empty(grid.n + 1)
+    m = grid.n if need is None else min(grid.n, max(ku, need))
+    bes = _bessel3_values(0.0, m - ku, grid.dt, rng)
+    v = np.empty(m + 1)
     v[: ku + 1] = bridge
     v[ku:] = eps * bes
     v[ku] = 0.0
-    path = SamplePath(grid=grid, values=v)
+    path = SamplePath(grid=grid if m == grid.n else grid.restricted(m), values=v)
     return WeightedPath(path=path, weight=w, u=ku * grid.dt, censored=censored)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from penalab import cli
 from penalab.cli import main
 from penalab.config import RunConfig, config_from_sources, parse_config_file
 
@@ -34,6 +35,15 @@ def test_parse_config_file(tmp_path):
     bad2.write_text("just a line\n")
     with pytest.raises(ValueError):
         parse_config_file(str(bad2))
+
+
+def test_config_file_rejects_unread_key(tmp_path):
+    # eps_localtime was a key nothing read; naming it must fail, not be ignored
+    p = tmp_path / "run.cfg"
+    p.write_text("dt=0.01\nt_max=10\nn_paths=100\nmaster_seed=1\neps_localtime=0.1\n")
+    with pytest.raises(ValueError, match="unknown key 'eps_localtime'"):
+        config_from_sources(str(p), {}, env={})
+    assert "eps_localtime" not in RunConfig().as_dict()
 
 
 def test_override_precedence(tmp_path):
@@ -157,3 +167,40 @@ def test_cli_worker_count_reproduces_means(tmp_path):
     for k, v in outs[0].items():
         got = outs[1][k]
         assert got == pytest.approx(v, rel=1e-12, abs=1e-15)
+
+
+def test_cli_worker_count_reproduces_bytes(tmp_path):
+    # the exit-density product side runs its Simpson nodes on the workers
+    bodies = []
+    for w in ("1", "2"):
+        d = tmp_path / f"w{w}"
+        rc = main(["--dt", "0.01", "--n", "320", "--seed", "13", "--workers", w,
+                   "--out", str(d), "verify", "exit-density", "tail-vanishing"])
+        assert rc == 0
+        run = next(d.iterdir())
+        assert sorted(p.name for p in run.iterdir()) == ["results.csv", "summary.json"]
+        bodies.append((run / "results.csv").read_bytes())
+    assert bodies[0] == bodies[1]
+
+
+def test_run_dir_same_second_gets_distinct_directories(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.time, "strftime", lambda *a: "20070845-000000")
+    cfg = RunConfig(out_dir=str(tmp_path / "out"))
+    a, b = cli._run_dir(cfg), cli._run_dir(cfg)
+    assert a != b and a.is_dir() and b.is_dir()
+    assert a.name == "20070845-000000-seed20070845"
+    assert b.name == "20070845-000000-seed20070845-1"
+    # another run creates the same name just before this one does
+    real_mkdir = Path.mkdir
+    claimed = []
+
+    def racing_mkdir(self, *args, **kwargs):
+        if not claimed:
+            claimed.append(self)
+            real_mkdir(self, parents=True)
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", racing_mkdir)
+    c = cli._run_dir(cfg.replaced(out_dir=str(tmp_path / "race")))
+    assert claimed == [tmp_path / "race" / "20070845-000000-seed20070845"]
+    assert c.name == "20070845-000000-seed20070845-1"

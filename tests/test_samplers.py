@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from penalab.functionals import bessel_mean
-from penalab.integrands import MeasureSpec
+from penalab.functionals import bessel_mean, exp_density
+from penalab.integrands import Integrand, MeasureSpec
 from penalab.paths import ConfigurationError, last_exit_time, make_grid
 from penalab.samplers import (RngStream, WProposal, sample_bessel3, sample_bm,
                               sample_bridge, sample_symmetrized_bessel,
@@ -146,6 +146,30 @@ def test_w_weight_formula_and_glue():
     u, w, c = WProposal(kind="gamma", theta=theta).draw(40.0, substream(7, 0))
     assert w == pytest.approx(np.sqrt(theta / 2.0) * np.exp(u / theta))
     assert w_at_theta == pytest.approx(np.sqrt(0.5) * np.e)
+
+
+@pytest.mark.parametrize("prop, t_max", [
+    (WProposal(kind="gamma", theta=1.0, alpha=1.0), 20.0),
+    (WProposal(kind="heavy", theta=10.0), 3.0),
+])
+def test_w_need_draw_is_prefix_of_full_draw(prop, t_max):
+    grid = make_grid(t_max, 0.01)
+    f = Integrand.step([0.0, 1.0], [1.0])
+    k_f = int(round(f.support_end / grid.dt))
+    for i in range(12):
+        full = sample_W(prop, grid, substream(31, i))
+        ku = grid.index(full.u)
+        for need in (1, ku - 1, ku + 5, grid.n, grid.n + 7):
+            cut = sample_W(prop, grid, substream(31, i), need=need)
+            m = min(grid.n, max(ku, need))
+            assert len(cut.path.values) == m + 1
+            np.testing.assert_array_equal(cut.path.values, full.path.values[: m + 1])
+            assert (cut.weight, cut.u, cut.censored) == (full.weight, full.u, full.censored)
+        # the horizon the exit-density and tail-vanishing legs ask for
+        cut = sample_W(prop, grid, substream(31, i), need=k_f)
+        for t in (None, 0.0, 1.0, 2.0, 5.0):
+            assert exp_density(f, cut.path.values, grid.dt, t=t) == \
+                exp_density(f, full.path.values, grid.dt, t=t)
 
 
 def test_heavy_proposal_weight_density_identity():
