@@ -29,7 +29,7 @@ from .functionals import (abs_gauss_exp_moment, exp_density, f_phi_integral,
                           occupation_integral, phi_a, wiener_integral)
 from .integrands import Integrand, MeasureSpec
 from .paths import hitting_index, last_exit_index
-from .samplers import WProposal, sample_W, substream
+from .samplers import WProposal, _bridge_values, sample_W, substream
 from .sturm import atomic_phi_oracle, solve_phi
 
 __all__ = ["REGISTRY", "BATTERY", "run_experiment", "envelope_rows"]
@@ -686,11 +686,11 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
     # pinned-bridge spot value at u = 1: every draw equals exp(-1/2) exactly
     gen = substream(derive_seed(cfg.master_seed, "exit-spot"), 0)
     ku = int(round(1.0 / cfg.dt))
-    zb = gen.standard_normal((2000, ku)) * np.sqrt(cfg.dt)
-    B = np.concatenate([np.zeros((2000, 1)), np.cumsum(zb, axis=1)], axis=1)
-    B -= (np.arange(ku + 1) * cfg.dt / 1.0) * B[:, -1][:, None]
-    B[:, -1] = 0.0
-    spot = np.exp((B[:, -1] - B[:, 0]) - 0.5)
+    ends = np.empty(2000)
+    for i in range(len(ends)):
+        b = _bridge_values(ku, cfg.dt, gen)
+        ends[i] = b[-1] - b[0]
+    spot = np.exp(ends - 0.5)
     lhs = EstimatorResult(mean=float(spot.mean()),
                           std_error=float(spot.std() / np.sqrt(len(spot))),
                           n_paths=len(spot), dt=cfg.dt, z_mult=cfg.z_mult)
@@ -866,8 +866,9 @@ def exp_domination(cfg: RunConfig) -> list[IdentityCheck]:
     n_used = min(10_000, cfg.n_paths)
     h_T = {}
     for ftag, f in (("f=0", F_ZERO), ("f=signed", F_SIGNED)):
-        h_T[ftag] = (_grid_h(f, n, cfg.dt, T=T),
-                     np.stack([_grid_h(f, n, cfg.dt, T=t) for t in t_list]))
+        # the rows with t >= f.support_end coincide; only distinct ones count
+        hts = np.unique(np.stack([_grid_h(f, n, cfg.dt, T=t) for t in t_list]), axis=0)
+        h_T[ftag] = (_grid_h(f, n, cfg.dt, T=T), hts)
 
     def make(gen, idx):
         wp = sample_W(prop, grid, gen)

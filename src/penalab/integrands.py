@@ -40,6 +40,11 @@ class Integrand:
     table: np.ndarray = field(default_factory=lambda: np.zeros(0))
     alpha_decay: float | None = None
 
+    def __post_init__(self):
+        # l2sq_partial memo, per t; created here so that worker threads
+        # sharing an instance never race to install it
+        object.__setattr__(self, "_l2sq", {})
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -124,12 +129,17 @@ class Integrand:
         return np.atleast_1d(self.primitive(t))
 
     def l2sq_partial(self, t: float) -> float:
-        """int_0^t f(s)^2 ds."""
-        if self.kind == "step":
-            sq = Integrand.step(self.breaks, self.levels ** 2)
-            return float(sq.primitive(t))
-        sq = Integrand.tabulated(self.table ** 2, self.table_dt)
-        return float(sq.primitive(t))
+        """int_0^t f(s)^2 ds, memoised per t on the instance (callers ask
+        for the same few t once per path)."""
+        memo = self._l2sq
+        t = float(t)
+        if t not in memo:
+            if self.kind == "step":
+                sq = Integrand.step(self.breaks, self.levels ** 2)
+            else:
+                sq = Integrand.tabulated(self.table ** 2, self.table_dt)
+            memo[t] = float(sq.primitive(t))
+        return memo[t]
 
     @property
     def l2_sq(self) -> float:
@@ -285,8 +295,9 @@ class MeasureSpec:
         ))
 
     def _knot_table(self):
-        """(xp, fp) for one-shot np.interp evaluation; duplicated knots encode
-        jumps (np.interp picks the right-hand value at a duplicate)."""
+        """(xp, fp, edge, hb) for one-shot np.interp evaluation; duplicated
+        knots encode jumps (np.interp picks the right-hand value at a
+        duplicate), and hb is the height at the rightmost support edge."""
         cached = getattr(self, "_knots", None)
         if cached is not None:
             return cached
@@ -313,7 +324,9 @@ class MeasureSpec:
         if prev_hb != 0.0:
             xp.append(prev_b)
             fp.append(0.0)
-        table = (np.asarray(xp), np.asarray(fp))
+        edge = max(p.b for p in self.pieces)
+        hb = sum(p.hb for p in self.pieces if p.b == edge)
+        table = (np.asarray(xp), np.asarray(fp), edge, hb)
         object.__setattr__(self, "_knots", table)
         return table
 
@@ -322,13 +335,10 @@ class MeasureSpec:
         x = np.asarray(x, dtype=float)
         if not self.pieces:
             return np.zeros_like(x)
-        xp, fp = self._knot_table()
+        xp, fp, edge, hb = self._knot_table()
         out = np.interp(x, xp, fp, left=0.0, right=0.0)
-        if self.closed_right:
-            edge = max(p.b for p in self.pieces)
-            hb = sum(p.hb for p in self.pieces if p.b == edge)
-            if hb:
-                out = np.where(x == edge, hb, out)
+        if self.closed_right and hb:
+            out = np.where(x == edge, hb, out)
         return out
 
     @property

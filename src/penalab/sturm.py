@@ -8,6 +8,17 @@ derivative jumps 2 lambda_k phi(x_k) applied exactly at atom nodes) and a
 
 Truncation to [-L, L] is exact, not approximate, once L exceeds the support
 of V: outside the support phi'' = 0, so the slopes are already constant.
+
+The Heun update runs in Python only at acting steps: a step acts when the
+density is nonzero at either of its nodes or an atom sits at its right node.
+At every other step (all of them for atomic V away from the atoms, all but
+the support for a density) g = 0 on both nodes and no jump follows, so the
+update reduces exactly to y += (dx/2) (p + p) with p unchanged: the products
+with g are zeros, and adding a zero changes no float but a negative zero,
+which the slope-0 and slope-1 starts never produce.  A run of free
+steps between two acting steps is therefore one sequential cumsum of that
+constant increment, which performs the same additions in the same order as
+the step-by-step loop; the tabulated solution is bit-identical to it.
 """
 from __future__ import annotations
 
@@ -70,6 +81,39 @@ class PhiSolution:
         return self.dphi_at(y) / self.phi_at(y)
 
 
+def _integrate(g: np.ndarray, jump_at: np.ndarray, dx: float,
+               y0: float, p0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Heun for y'' = g y from the left end, with derivative jumps
+    jump_at * y at the nodes: values y and left derivatives p per node.
+
+    Only acting steps (V reaches an end: g != 0 there, or an atom at the
+    right end) run the Heun update; each run of free steps between them is
+    one cumsum of the constant increment the update reduces to."""
+    m = len(g) - 1
+    acts = np.flatnonzero((g[:-1] != 0) | (g[1:] != 0) | (jump_at[1:] != 0))
+    y = np.empty(m + 1)
+    p = np.empty(m + 1)
+    y[0], p[0] = y0, p0
+    pr = p0 + jump_at[0] * y0
+    i = 0                                             # node the next step leaves
+    for k in (*acts.tolist(), m):
+        if k > i:                                     # free run: steps i .. k-1
+            y[i + 1:k + 1] = 0.5 * dx * (pr + pr)
+            np.cumsum(y[i:k + 1], out=y[i:k + 1])
+            p[i + 1:k + 1] = pr + 0.5 * dx * (0.0 + 0.0)
+            pr = p[k] + jump_at[k] * y[k]
+        if k == m:
+            break
+        yc = y[k]
+        ye = yc + dx * pr                             # Heun predictor
+        pe = pr + dx * g[k] * yc
+        y[k + 1] = yc + 0.5 * dx * (pr + pe)
+        p[k + 1] = pr + 0.5 * dx * (g[k] * yc + g[k + 1] * ye)
+        pr = p[k + 1] + jump_at[k + 1] * y[k + 1]     # atom jump, applied exactly
+        i = k + 1
+    return y, p
+
+
 def solve_phi(V: MeasureSpec, L: float = 50.0, dx: float = 1e-3) -> PhiSolution:
     if V.support_radius() >= L / 2:
         raise SolverError("support of V must lie inside (-L/2, L/2)")
@@ -85,23 +129,8 @@ def solve_phi(V: MeasureSpec, L: float = 50.0, dx: float = 1e-3) -> PhiSolution:
         k = int(round((loc + L) / dx))
         jump_at[k] += 2.0 * lam
 
-    def integrate(y0: float, p0: float):
-        y = np.empty(m + 1)
-        p = np.empty(m + 1)                           # left derivative at node
-        y[0], p[0] = y0, p0
-        pr = p0 + jump_at[0] * y0
-        yc = y0
-        for i in range(m):
-            ye = yc + dx * pr                         # Heun predictor
-            pe = pr + dx * g[i] * yc
-            y[i + 1] = yc + 0.5 * dx * (pr + pe)
-            p[i + 1] = pr + 0.5 * dx * (g[i] * yc + g[i + 1] * ye)
-            yc = y[i + 1]
-            pr = p[i + 1] + jump_at[i + 1] * yc       # atom jump, applied exactly
-        return y, p
-
-    y1, p1 = integrate(1.0, 0.0)
-    y2, p2 = integrate(0.0, 1.0)
+    y1, p1 = _integrate(g, jump_at, dx, 1.0, 0.0)
+    y2, p2 = _integrate(g, jump_at, dx, 0.0, 1.0)
     A = np.array([[0.0, 1.0], [p1[-1] + jump_at[-1] * y1[-1], p2[-1] + jump_at[-1] * y2[-1]]])
     # no atom sits at +L (support check), so the jump terms at -L/+L vanish
     b = np.array([-1.0, 1.0])

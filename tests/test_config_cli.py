@@ -1,4 +1,5 @@
 """Configuration parsing and the command line surface."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -181,6 +182,17 @@ def test_cli_worker_count_reproduces_bytes(tmp_path):
         assert sorted(p.name for p in run.iterdir()) == ["results.csv", "summary.json"]
         bodies.append((run / "results.csv").read_bytes())
     assert bodies[0] == bodies[1]
+
+
+def test_verify_deterministic_rows_keep_their_bytes(tmp_path):
+    # phi-atom (the Sturm solver) and tail-transform draw no paths; the
+    # digest was recorded at commit 0ce91e7, before the solver filled its
+    # free runs in closed form, and that rewrite must not move a byte
+    cfg = RunConfig(dt=0.01, n_paths=320, master_seed=13, out_dir=str(tmp_path))
+    assert cli.cmd_verify(cfg, ["phi-atom", "tail-transform"]) == 0
+    body = (next(tmp_path.iterdir()) / "results.csv").read_bytes()
+    assert hashlib.sha256(body).hexdigest() == (
+        "82cae4918edd73517d46062061939eb22912d14cf7a01153b765833d5158152e")
 
 
 def test_run_dir_same_second_gets_distinct_directories(tmp_path, monkeypatch):

@@ -118,3 +118,28 @@ def test_density_piece_weighted_mass():
     # triangle on [0,2]: int (1+x)(x/2) dx = [x^2/4 + x^3/6] = 1 + 8/6
     tri = DensityPiece(0.0, 2.0, 0.0, 1.0)
     assert tri.weighted_mass() == pytest.approx(1.0 + 8.0 / 6.0)
+
+
+_MEMO_TS = (0.0, 0.25, 0.5, 1.5, 7.0, np.float64(0.75))   # 0, inside, break, beyond
+
+
+def test_l2sq_partial_memo_equals_fresh_primitive():
+    f = Integrand.step([0.0, 0.5, 1.0, 1.5], [1.0, -0.5, 0.25])
+    tab = Integrand.tabulated(np.sin(np.arange(100) * 0.01), 0.01)
+    for _ in range(2):                  # second pass is served from the memo
+        for t in _MEMO_TS:
+            assert f.l2sq_partial(t) == float(
+                Integrand.step(f.breaks, f.levels ** 2).primitive(t))
+            assert tab.l2sq_partial(t) == float(
+                Integrand.tabulated(tab.table ** 2, tab.table_dt).primitive(t))
+    assert type(f.l2sq_partial(np.float64(0.75))) is float
+
+
+def test_l2sq_partial_memo_stays_on_its_instance():
+    f = Integrand.step([0.0, 1.0, 2.0], [0.6, -0.6])
+    assert f.l2sq_partial(2.0) == pytest.approx(0.72)
+    g, h = f.shifted(0.5), f.scaled(2.0)
+    assert g.l2sq_partial(2.0) == pytest.approx(0.18 + 0.36)
+    assert h.l2sq_partial(2.0) == pytest.approx(4 * 0.72)
+    assert g._l2sq is not f._l2sq and h._l2sq is not f._l2sq
+    assert f.l2sq_partial(2.0) == pytest.approx(0.72)

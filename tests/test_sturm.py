@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from penalab import sturm
 from penalab.functionals import fk_weight_t
 from penalab.integrands import MeasureSpec
 from penalab.paths import SamplePath, make_grid
@@ -125,3 +126,51 @@ def test_fk_consistency_with_martingale_density():
     k = fk_weight_t(V, p, 2.0).value
     want = sol.phi_at(p.values[-1]) / sol.phi_at(0.0) * k
     assert m == pytest.approx(want, rel=1e-12)
+
+
+def _whole_grid_integrate(g, jump_at, dx, y0, p0):
+    """The Heun loop over every node, as solve_phi ran it before free runs
+    were filled in closed form: the oracle for bit-exactness."""
+    m = len(g) - 1
+    y = np.empty(m + 1)
+    p = np.empty(m + 1)
+    y[0], p[0] = y0, p0
+    pr = p0 + jump_at[0] * y0
+    yc = y0
+    for i in range(m):
+        ye = yc + dx * pr
+        pe = pr + dx * g[i] * yc
+        y[i + 1] = yc + 0.5 * dx * (pr + pe)
+        p[i + 1] = pr + 0.5 * dx * (g[i] * yc + g[i + 1] * ye)
+        yc = y[i + 1]
+        pr = p[i + 1] + jump_at[i + 1] * yc
+    return y, p
+
+
+_ORACLE_MEASURES = {
+    "atom-0.5": MeasureSpec.point(0.0, 0.5),
+    "atom-1": MeasureSpec.point(0.0, 1.0),
+    "atom-2": MeasureSpec.point(0.0, 2.0),
+    "two-atom": MeasureSpec.points([(-1.0, 1.0), (1.0, 1.0)]),
+    "three-atom": MeasureSpec.points([(-1.5, 0.5), (0.0, 1.0), (2.0, 2.0)]),
+    "box": MeasureSpec.box(-1.0, 1.0, 1.0),
+    "bump": MeasureSpec.bump(),
+    "atoms+box": MeasureSpec(atoms=((-3.0, 0.5), (0.25, 1.0)),
+                             pieces=MeasureSpec.box(-1.0, 1.0, 1.0).pieces),
+    "atom-on-box-edge": MeasureSpec(atoms=((1.0, 0.75),),
+                                    pieces=MeasureSpec.box(-1.0, 1.0, 0.5).pieces),
+}
+
+
+@pytest.mark.parametrize("L,dx", [(50.0, 1e-3), (20.0, 0.01), (50.0, 0.003)])
+@pytest.mark.parametrize("name", sorted(_ORACLE_MEASURES))
+def test_free_run_solver_is_bit_exact(monkeypatch, name, L, dx):
+    V = _ORACLE_MEASURES[name]
+    got = solve_phi(V, L=L, dx=dx)
+    monkeypatch.setattr(sturm, "_integrate", _whole_grid_integrate)
+    want = solve_phi(V, L=L, dx=dx)
+    for field in ("phi", "dphi", "gamma_table"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), field
+    assert got.C_V == want.C_V
+    assert got.jumps == want.jumps
