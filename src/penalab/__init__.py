@@ -6,9 +6,8 @@ from .estimator import EstimatorResult, IdentityCheck
 from .integrands import Integrand, MeasureSpec
 from .paths import (SamplePath, TimeGrid, WeightedPath, concat, hitting_time,
                     last_exit_time, make_grid, shift, translate)
-from .samplers import (RngStream, WProposal, sample_bessel3, sample_bm,
-                       sample_bridge, sample_symmetrized_bessel, sample_W,
-                       sample_Wx, sample_WV, substream)
+from .samplers import (WProposal, sample_bessel3, sample_bm, sample_bridge,
+                       sample_symmetrized_bessel, sample_W, sample_WV, substream)
 from .sturm import PhiSolution, atomic_phi_oracle, martingale_density, \
     scale_gamma, solve_phi
 
@@ -18,8 +17,8 @@ __all__ = [
     "RunConfig", "EstimatorResult", "IdentityCheck", "Integrand", "MeasureSpec",
     "SamplePath", "TimeGrid", "WeightedPath", "concat", "hitting_time",
     "last_exit_time", "make_grid", "shift", "translate",
-    "RngStream", "WProposal", "sample_bessel3", "sample_bm", "sample_bridge",
-    "sample_symmetrized_bessel", "sample_W", "sample_Wx", "sample_WV",
-    "substream", "PhiSolution", "atomic_phi_oracle", "martingale_density",
+    "WProposal", "sample_bessel3", "sample_bm", "sample_bridge",
+    "sample_symmetrized_bessel", "sample_W", "sample_WV", "substream",
+    "PhiSolution", "atomic_phi_oracle", "martingale_density",
     "scale_gamma", "solve_phi",
 ]

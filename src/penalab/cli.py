@@ -19,11 +19,11 @@ import numpy as np
 from .config import RunConfig, config_from_sources
 from .estimator import IdentityCheck
 from .experiments import BATTERY, REGISTRY, run_experiment
-from .integrands import MeasureSpec
+from .integrands import DensityPiece, MeasureSpec
 from .paths import make_grid
 from .samplers import WProposal, sample_bessel3, sample_bm, sample_bridge, \
     sample_symmetrized_bessel, sample_W, substream
-from .sturm import solve_phi
+from .sturm import scale_gamma, solve_phi
 
 CSV_HEADER = ("experiment,lhs_mean,lhs_se,rhs_mean,rhs_se,tolerance,"
               "censor_rate,n_paths,dt,seed,verdict")
@@ -85,8 +85,9 @@ def write_results(run_dir: Path, cfg: RunConfig, rows: list[IdentityCheck]) -> N
                   json.dumps(summary, indent=1, sort_keys=True) + "\n")
 
 
-def exit_code(rows: list[IdentityCheck]) -> int:
-    verdicts = {c.verdict for c in rows}
+def exit_code(verdicts) -> int:
+    """0 iff every verdict is PASS; any FAIL -> 1, else any INCONCLUSIVE -> 2."""
+    verdicts = set(verdicts)
     if "FAIL" in verdicts:
         return 1
     if "INCONCLUSIVE" in verdicts:
@@ -100,37 +101,46 @@ def _print_rows(rows: list[IdentityCheck]) -> None:
               f"rhs={c.rhs.mean:.6g} tol={c.tolerance:.3g}")
 
 
+_VSPEC_ARGS = {"atom": ("loc", "mass"), "box": ("a", "b", "h"),
+               "bump": ("inner", "outer", "h")}
+
+
 def _parse_vspec(spec: str) -> MeasureSpec:
     """Compact measure syntax: 'atom:<loc>:<mass>' / 'box:<a>:<b>:<h>' /
-    'bump:<inner>:<outer>:<h>', comma separated."""
+    'bump:<inner>:<outer>:<h>', comma separated.  A malformed token raises
+    ValueError naming it and the numbers its kind takes."""
     atoms = []
     pieces = []
-    from .integrands import DensityPiece
     for tok in spec.split(","):
-        parts = tok.strip().split(":")
-        kind = parts[0]
+        kind, *args = tok.strip().split(":")
+        if kind not in _VSPEC_ARGS:
+            raise ValueError(f"unknown V token {tok!r}; kinds: " + ", ".join(_VSPEC_ARGS))
+        names = _VSPEC_ARGS[kind]
+        form = ":".join([kind, *(f"<{n}>" for n in names)])
+        try:
+            vals = [float(p) for p in args]
+        except ValueError:
+            vals = None
+        if vals is None or len(vals) != len(names):
+            raise ValueError(f"bad V token {tok!r}: expected {form}")
         if kind == "atom":
-            atoms.append((float(parts[1]), float(parts[2])))
+            atoms.append(tuple(vals))
         elif kind == "box":
-            a, b, h = (float(p) for p in parts[1:4])
+            a, b, h = vals
             pieces.append(DensityPiece(a, b, h, h))
-        elif kind == "bump":
-            inner, outer, h = (float(p) for p in parts[1:4])
+        else:
+            inner, outer, h = vals
             pieces.extend([DensityPiece(-outer, -inner, 0.0, h),
                            DensityPiece(-inner, inner, h, h),
                            DensityPiece(inner, outer, h, 0.0)])
-        else:
-            raise ValueError(f"unknown V token {tok!r}")
     return MeasureSpec(atoms=tuple(atoms), pieces=tuple(pieces))
 
 
-def cmd_phi(cfg: RunConfig, vspec: str) -> int:
-    V = _parse_vspec(vspec)
+def cmd_phi(cfg: RunConfig, V: MeasureSpec) -> int:
     sol = solve_phi(V, L=cfg.L, dx=cfg.dx)
     print(f"# C_V = {_fmt(sol.C_V)}")
     print("x,phi,dphi,gamma")
     xs = np.arange(-5.0, 5.0 + 1e-12, 0.5)
-    from .sturm import scale_gamma
     for x in xs:
         print(",".join(_fmt(v) for v in
                        (x, sol.phi_at(x), sol.dphi_at(x), scale_gamma(sol, x))))
@@ -153,9 +163,8 @@ def cmd_sample(cfg: RunConfig, kind: str, n_sample: int) -> int:
         elif kind == "symmetrized-bessel":
             p = sample_symmetrized_bessel(grid, gen)
         elif kind == "w":
-            wgrid = make_grid(cfg.t_max, cfg.dt)
             wp = sample_W(WProposal(kind="gamma", theta=cfg.theta, alpha=1.0),
-                          wgrid, gen)
+                          cfg.grid(), gen)
             p = wp.path
             meta.append((i, wp.weight, wp.u, int(wp.censored)))
         else:
@@ -189,7 +198,7 @@ def cmd_verify(cfg: RunConfig, names: list[str]) -> int:
     write_results(run_dir, cfg, rows)
     _print_rows(rows)
     print(f"results: {run_dir}/results.csv")
-    return exit_code(rows)
+    return exit_code(c.verdict for c in rows)
 
 
 def cmd_report(paths: list[str]) -> int:
@@ -200,16 +209,10 @@ def cmd_report(paths: list[str]) -> int:
             for r in data["rows"]:
                 rows.append((str(f.parent.name), r))
     print(f"{'run':28s} {'experiment':48s} {'verdict':12s} lhs rhs tol")
-    verdicts = set()
     for run, r in rows:
         print(f"{run:28s} {r['experiment']:48s} {r['verdict']:12s} "
               f"{r['lhs_mean']:.6g} {r['rhs_mean']:.6g} {r['tolerance']:.3g}")
-        verdicts.add(r["verdict"])
-    if "FAIL" in verdicts:
-        return 1
-    if "INCONCLUSIVE" in verdicts:
-        return 2
-    return 0
+    return exit_code(r["verdict"] for _, r in rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,11 +249,12 @@ def main(argv: list[str] | None = None) -> int:
                            "n_workers")}
     try:
         cfg = config_from_sources(args.config, overrides)
+        V = _parse_vspec(args.vspec) if args.command == "phi" else None
     except (ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 1
     if args.command == "phi":
-        return cmd_phi(cfg, args.vspec)
+        return cmd_phi(cfg, V)
     if args.command == "sample":
         return cmd_sample(cfg, args.kind, args.paths)
     if args.command == "verify":

@@ -6,6 +6,8 @@ from dataclasses import dataclass, fields, replace
 
 from scipy.special import ndtri
 
+from .paths import TimeGrid, make_grid
+
 __all__ = ["RunConfig", "parse_config_file", "config_from_sources"]
 
 # ci level whose two-sided normal quantile is exactly 4 standard errors
@@ -31,6 +33,9 @@ class RunConfig:
             raise ValueError("all scale parameters must be positive")
         if self.n_paths <= 0 or self.n_workers <= 0:
             raise ValueError("n_paths and n_workers must be positive")
+        if not (0 <= self.master_seed < 2 ** 64):
+            # it keys a Philox substream as one uint64 word
+            raise ValueError("master_seed must lie in [0, 2**64)")
         if not (0.5 < self.ci_level < 1.0):
             raise ValueError("ci_level must lie in (0.5, 1)")
         ratio = self.t_max / self.dt
@@ -40,6 +45,10 @@ class RunConfig:
     @property
     def z_mult(self) -> float:
         return float(ndtri(0.5 + 0.5 * self.ci_level))
+
+    def grid(self) -> TimeGrid:
+        """The full-horizon time grid, t_max / dt steps."""
+        return make_grid(self.t_max, self.dt)
 
     def replaced(self, **kw) -> "RunConfig":
         return replace(self, **kw)
@@ -53,7 +62,8 @@ _STR_KEYS = {"out_dir"}
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value lines; '#' starts a comment; unknown keys rejected."""
+    """Flat key=value lines; '#' starts a comment; unknown and repeated
+    keys rejected."""
     known = {f.name for f in fields(RunConfig)}
     out: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -66,6 +76,8 @@ def parse_config_file(path: str) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = _coerce(key, val)
     return out
 

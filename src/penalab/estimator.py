@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .samplers import substream
+from .samplers import _bessel3_values, _bm_values, substream
 
 __all__ = [
-    "EstimatorResult", "IdentityCheck", "derive_seed", "mc_estimate",
-    "run_chunked", "ordered_map", "bm_chunk_pass", "path_pass", "CHUNK",
+    "EstimatorResult", "IdentityCheck", "derive_seed",
+    "run_chunked", "ordered_map", "bm_chunk_pass", "bessel_chunk_pass",
+    "path_pass", "CHUNK",
 ]
 
 CHUNK = 256                      # fixed: part of the reproducibility contract
@@ -78,6 +79,13 @@ class IdentityCheck:
             verdict = "PASS" if abs(d) <= tol else "FAIL"
         return IdentityCheck(name=name, lhs=lhs, rhs=rhs, verdict=verdict,
                              tolerance=tol, mode=mode, note=note)
+
+    @staticmethod
+    def must_fail(name: str, lhs: EstimatorResult, rhs: EstimatorResult,
+                  mode: str = "two-sided", note: str = "") -> "IdentityCheck":
+        """Negative control: PASS exactly when the plain comparison FAILs."""
+        raw = IdentityCheck.build(name, lhs, rhs, mode=mode, note=note)
+        return replace(raw, verdict="PASS" if raw.verdict == "FAIL" else "FAIL")
 
 
 class _Accum:
@@ -153,58 +161,37 @@ def ordered_map(fn, items, n_workers: int = 1):
         yield from ex.map(fn, items)
 
 
-def mc_estimate(functional, sampler, n_paths: int, seed: int,
-                dt: float = 0.0, budget: float = 0.0, z_mult: float = 4.0,
-                n_workers: int = 1) -> EstimatorResult:
-    """Mean and standard error of (weight x) functional over n_paths
-    independent substreams.
-
-    sampler(generator) returns a SamplePath or a WeightedPath; weighted
-    draws multiply the functional by their importance weight and propagate
-    the censor flag.  functional(path) returns a float or a FunctionalValue.
-    """
-
-    def make(gen, idx):
-        draw = sampler(gen)
-        weight = getattr(draw, "weight", 1.0)
-        censored = bool(getattr(draw, "censored", False))
-        path = getattr(draw, "path", draw)
-        out = functional(path)
-        value = getattr(out, "value", out)
-        censored = censored or bool(getattr(out, "censored", False))
-        return {"v": (weight * value, censored)}
-
-    accs = run_chunked(n_paths, seed, path_pass(make), n_workers)
-    return accs["v"].result(dt, budget=budget, z_mult=z_mult)
-
-
-def bm_chunk_pass(x0: float, n_steps: int, dt: float, eval_matrix):
-    """Chunk function for Brownian ensembles: builds a (size, n+1) matrix of
-    substream paths and hands it to eval_matrix(X)."""
-    sq = np.sqrt(dt)
+def _matrix_pass(row_values, n_steps: int, eval_matrix):
+    """Chunk function that fills a (size, n_steps+1) matrix with one
+    row_values(generator) per path substream and hands it to eval_matrix(X)."""
 
     def chunk_fn(seed: int, start: int, size: int):
         X = np.empty((size, n_steps + 1))
-        X[:, 0] = 0.0
         for i in range(size):
-            g = substream(seed, start + i)
-            np.cumsum(g.standard_normal(n_steps), out=X[i, 1:])
-        X[:, 1:] *= sq
-        X += x0
+            X[i] = row_values(substream(seed, start + i))
         return eval_matrix(X)
 
     return chunk_fn
 
 
+def bm_chunk_pass(x0: float, n_steps: int, dt: float, eval_matrix):
+    """Chunk function for Brownian ensembles from x0."""
+    return _matrix_pass(lambda g: _bm_values(x0, n_steps, dt, g), n_steps, eval_matrix)
+
+
+def bessel_chunk_pass(a: float, n_steps: int, dt: float, eval_matrix):
+    """Chunk function for 3-d Bessel ensembles from a >= 0."""
+    return _matrix_pass(lambda g: _bessel3_values(a, n_steps, dt, g), n_steps, eval_matrix)
+
+
 def path_pass(make_path_values):
-    """Chunk function for per-path sampling: make_path_values(gen, index)
+    """Chunk function for per-path sampling: make_path_values(gen)
     -> {name: (value, censored_flag)}."""
 
     def chunk_fn(seed: int, start: int, size: int):
         rows: dict[str, tuple[list, list]] = {}
         for i in range(size):
-            g = substream(seed, start + i)
-            out = make_path_values(g, start + i)
+            out = make_path_values(substream(seed, start + i))
             for name, (val, cens) in out.items():
                 vals, cmask = rows.setdefault(name, ([], []))
                 vals.append(val)

@@ -2,7 +2,7 @@
 exponential densities, Bessel mean functions and tail envelopes.
 
 Array kernels accept a trailing path axis, so a (batch, n+1) matrix of paths
-evaluates in one call; the SamplePath wrappers are thin.
+evaluates in one call.
 
 Two local-time estimators are provided.  The band estimator (occupation of
 (-eps, eps) over 2 eps, default eps = sqrt(dt)) is the classical one, with a
@@ -14,33 +14,21 @@ that approach a level without touching it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
 from .integrands import Integrand, MeasureSpec
-from .paths import SamplePath
 
 __all__ = [
-    "FunctionalValue",
-    "local_time_band", "local_time_signed", "local_time_zero",
-    "occupation_integral", "fk_log_weight", "fk_weight_t", "fk_weight_total",
+    "local_time_band", "local_time_signed",
+    "occupation_integral", "fk_log_weight",
     "wiener_integral", "exp_density",
-    "phi_a", "bessel_mean", "f_phi_integral", "centered_wiener_integral",
-    "f_tilde", "tail_sigma", "gaussian_envelope", "gaussian_envelope_gh",
+    "phi_a", "bessel_mean", "f_phi_integral",
+    "gaussian_envelope", "gaussian_envelope_gh",
     "abs_gauss_exp_moment",
 ]
 
-BAND_BIAS_COEFF = 1.0   # |E L_band - E L| <= coeff * eps on Brownian paths (calibrated)
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
-
-
-@dataclass(frozen=True)
-class FunctionalValue:
-    value: float
-    censored: bool = False
-    bias_bound: float | None = None
 
 
 # -- local times -------------------------------------------------------------
@@ -84,16 +72,6 @@ def local_time_signed(values: np.ndarray, level: float = 0.0,
     return np.abs(v[..., -1]) - np.abs(v[..., 0]) - corr
 
 
-def local_time_zero(x: SamplePath, t: float | None = None,
-                    eps: float | None = None, level: float = 0.0) -> FunctionalValue:
-    """Band local time at a level up to time t (default: full horizon)."""
-    upto = None if t is None else x.grid.index(t)
-    if eps is None:
-        eps = np.sqrt(x.dt)
-    val = float(local_time_band(x.values, x.dt, level=level, eps=eps, upto=upto))
-    return FunctionalValue(value=val, bias_bound=BAND_BIAS_COEFF * eps)
-
-
 # -- Feynman-Kac weights ------------------------------------------------------
 
 def occupation_integral(values: np.ndarray, dt: float, V: MeasureSpec,
@@ -116,26 +94,6 @@ def fk_log_weight(V: MeasureSpec, values: np.ndarray, dt: float,
     if V.has_density:
         out = out - occupation_integral(values, dt, V, upto=upto)
     return out + np.zeros(np.shape(values)[:-1])
-
-
-def fk_weight_t(V: MeasureSpec, x: SamplePath, t: float) -> FunctionalValue:
-    k = x.grid.index(t)
-    val = float(np.exp(fk_log_weight(V, x.values, x.dt, upto=k)))
-    return FunctionalValue(value=val)
-
-
-def fk_weight_total(V: MeasureSpec, x: SamplePath) -> FunctionalValue:
-    """K(V; X) evaluated at the horizon.
-
-    The censored flag is cleared only when the endpoint sits more than 3
-    spatial units outside the support of V and the path is sign-constant over
-    the final 10% of the horizon (a transient path no longer contributes).
-    """
-    val = float(np.exp(fk_log_weight(V, x.values, x.dt)))
-    tail = x.values[int(np.floor(0.9 * x.grid.n)):]
-    sign_const = bool(np.all(tail > 0) or np.all(tail < 0))
-    clear = abs(x.values[-1]) > V.support_radius() + 3.0 and sign_const
-    return FunctionalValue(value=val, censored=not clear)
 
 
 # -- Wiener integrals ---------------------------------------------------------
@@ -243,22 +201,7 @@ def f_phi_integral(f: Integrand, a: float) -> float:
     return float(np.sum(integ * np.diff(r)))
 
 
-def centered_wiener_integral(f: Integrand, values: np.ndarray, dt: float,
-                             a: float) -> np.ndarray:
-    """int f d(X - mean curve) on a Bessel path from a."""
-    return wiener_integral(f, values, dt) - f_phi_integral(f, a)
-
-
 # -- tail transforms and the Gaussian envelope -----------------------------------
-
-def f_tilde(f: Integrand, t: float) -> float:
-    """int_t^inf |f(s)| (s-t)^{-1/2} ds."""
-    return f.f_tilde(t)
-
-
-def tail_sigma(f: Integrand, t: float) -> float:
-    return f.tail_l2(t)
-
 
 def abs_gauss_exp_moment(beta: float) -> float:
     """E exp(beta |N|) = 2 exp(beta^2/2) Phi(beta), computed stably."""
@@ -277,8 +220,8 @@ def gaussian_envelope(f: Integrand, t: float) -> float:
     Expanding the square reduces this to half-Gaussian exponential moments,
     which is exact; the Gauss-Hermite variant below cross-checks it (the
     |N| kink caps plain quadrature at ~0.1% accuracy)."""
-    sig = tail_sigma(f, t)
-    b = _SQRT_2_OVER_PI * f_tilde(f, t) + 0.5 * sig * sig
+    sig = f.tail_l2(t)
+    b = _SQRT_2_OVER_PI * f.f_tilde(t) + 0.5 * sig * sig
     if sig == 0.0 and b == 0.0:
         return 0.0
     return float(np.exp(2.0 * b) * abs_gauss_exp_moment(2.0 * sig)
@@ -287,8 +230,8 @@ def gaussian_envelope(f: Integrand, t: float) -> float:
 
 def gaussian_envelope_gh(f: Integrand, t: float) -> float:
     """Gauss-Hermite evaluation of the same expectation (test oracle)."""
-    sig = tail_sigma(f, t)
-    b = _SQRT_2_OVER_PI * f_tilde(f, t) + 0.5 * sig * sig
+    sig = f.tail_l2(t)
+    b = _SQRT_2_OVER_PI * f.f_tilde(t) + 0.5 * sig * sig
     if sig == 0.0 and b == 0.0:
         return 0.0
     z = np.sqrt(2.0) * _GH_NODES

@@ -84,14 +84,12 @@ class WeightedPath:
     """One draw against the sigma-finite measure: path + importance weight.
 
     u is the sampled bridge length (the last exit time from 0 by
-    construction); the path value at index(u) is exactly the start level x0
-    (0 for the unshifted measure).
+    construction); the path value at index(u) is exactly 0.
     """
     path: SamplePath
     weight: float
     u: float
     censored: bool = False
-    x0: float = 0.0
 
     def __post_init__(self):
         if not (self.weight > 0):
@@ -99,7 +97,7 @@ class WeightedPath:
         if self.u < 0:
             raise ValueError("u must be nonnegative")
         k = self.path.grid.index(self.u)
-        if self.path.values[k] != self.x0:
+        if self.path.values[k] != 0.0:
             raise ValueError("path must glue exactly at the bridge endpoint")
 
 

@@ -1,6 +1,15 @@
 """Exact-in-law path samplers and the importance-weighted sampler for the
 sigma-finite bridge/Bessel measure.
 
+Each law has one row builder, ``_bm_values``, ``_bridge_values`` and
+``_bessel3_values``, which fills one path's values from one generator.  The
+SamplePath samplers, the sigma-finite draw and the chunk passes of
+``estimator`` (``bm_chunk_pass``, ``bessel_chunk_pass``) all build their rows
+with it, so a law is drawn by the same operations wherever it is used.  The
+one exception is the exit-density product side, whose bridge and Bessel
+matrices scale the normals before the cumsum; its bytes are pinned, and
+moving it onto the row builders would change their last bits.
+
 Reproducibility contract: one Philox substream per path index, keyed by
 (master_seed, stream_index).  Identical (master_seed, stream_index, config)
 reproduce a path bit-for-bit regardless of batching or thread count.  Inside
@@ -35,10 +44,9 @@ from .paths import ConfigurationError, SamplePath, TimeGrid, WeightedPath
 from .sturm import PhiSolution
 
 __all__ = [
-    "RngStream", "substream", "WProposal",
+    "substream", "WProposal",
     "sample_bm", "sample_bridge", "sample_bessel3", "sample_symmetrized_bessel",
-    "sample_W", "sample_Wx", "sample_WV", "DiffusionDraw",
-    "bm_matrix",
+    "sample_W", "sample_WV", "DiffusionDraw",
 ]
 
 GAMMA_TAIL_LIMIT = 1e-6
@@ -50,42 +58,22 @@ def substream(master_seed: int, stream_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class RngStream:
-    master_seed: int
-    stream_index: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return substream(self.master_seed, self.stream_index)
-
-    def child(self, index: int) -> "RngStream":
-        return RngStream(self.master_seed, index)
-
-
 # -- elementary samplers ------------------------------------------------------
 
 
-def bm_matrix(x0: float, n_steps: int, dt: float, gens) -> np.ndarray:
-    """(len(gens), n_steps+1) Brownian paths, one substream per row."""
-    out = np.empty((len(gens), n_steps + 1))
-    out[:, 0] = x0
-    sq = np.sqrt(dt)
-    for i, g in enumerate(gens):
-        np.cumsum(g.standard_normal(n_steps), out=out[i, 1:])
-    out[:, 1:] *= sq
-    out[:, 1:] += x0
-    return out
+def _bm_values(x0: float, n: int, dt: float, rng: np.random.Generator) -> np.ndarray:
+    v = np.empty(n + 1)
+    v[0] = 0.0
+    np.cumsum(rng.standard_normal(n), out=v[1:])
+    v *= np.sqrt(dt)
+    v += x0
+    v[0] = x0
+    return v
 
 
 def sample_bm(x0: float, grid: TimeGrid, rng: np.random.Generator) -> SamplePath:
     """Brownian motion from x0: independent N(0, dt) increments."""
-    v = np.empty(grid.n + 1)
-    v[0] = 0.0
-    np.cumsum(rng.standard_normal(grid.n), out=v[1:])
-    v *= np.sqrt(grid.dt)
-    v += x0
-    v[0] = x0
-    return SamplePath(grid=grid, values=v)
+    return SamplePath(grid=grid, values=_bm_values(x0, grid.n, grid.dt, rng))
 
 
 def _bridge_values(ku: int, dt: float, rng: np.random.Generator) -> np.ndarray:
@@ -222,16 +210,6 @@ def sample_W(proposal: WProposal, grid: TimeGrid,
     v[ku] = 0.0
     path = SamplePath(grid=grid if m == grid.n else grid.restricted(m), values=v)
     return WeightedPath(path=path, weight=w, u=ku * grid.dt, censored=censored)
-
-
-def sample_Wx(x: float, proposal: WProposal, grid: TimeGrid,
-              rng: np.random.Generator) -> WeightedPath:
-    """Draw against the x-shifted measure: the same construction moved by x.
-    u is retained from the construction (the last visit of the path to x)."""
-    base = sample_W(proposal, grid, rng)
-    shifted = SamplePath(grid=grid, values=base.path.values + x)
-    return WeightedPath(path=shifted, weight=base.weight, u=base.u,
-                        censored=base.censored, x0=x)
 
 
 class DiffusionDraw(NamedTuple):

@@ -23,6 +23,16 @@ def test_config_defaults_and_validation():
         RunConfig(dt=0.3, t_max=1.0)       # horizon not a multiple of dt
 
 
+def test_master_seed_must_fit_a_philox_key_word(capsys):
+    RunConfig(master_seed=0)
+    RunConfig(master_seed=2 ** 64 - 1)
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="master_seed"):
+            RunConfig(master_seed=bad)
+    assert main(["--seed", "-1", "sample", "bm"]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_parse_config_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("# comment\n dt = 0.002\n n_paths=500 # inline\nmaster_seed=9\n")
@@ -36,6 +46,13 @@ def test_parse_config_file(tmp_path):
     bad2.write_text("just a line\n")
     with pytest.raises(ValueError):
         parse_config_file(str(bad2))
+
+
+def test_config_file_rejects_duplicate_key(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("dt=0.01\nn_paths=320\nt_max=10\nn_paths=5\n")
+    with pytest.raises(ValueError, match=f"{p}:4: duplicate key 'n_paths'"):
+        parse_config_file(str(p))
 
 
 def test_config_file_rejects_unread_key(tmp_path):
@@ -112,6 +129,17 @@ def test_cli_phi_subcommand(capsys):
     assert float(line0.split(",")[1]) == pytest.approx(0.5, abs=1e-8)
 
 
+@pytest.mark.parametrize("spec, expected", [
+    ("atom:0", "bad V token 'atom:0': expected atom:<loc>:<mass>"),
+    ("box:1:2", "bad V token 'box:1:2': expected box:<a>:<b>:<h>"),
+    ("wedge:0:1:1", "unknown V token 'wedge:0:1:1'"),
+])
+def test_cli_phi_rejects_malformed_spec(spec, expected, capsys):
+    assert main(["phi", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and expected in err
+
+
 def test_cli_sample_writes_paths(tmp_path):
     rc = main(["--dt", "0.01", "--seed", "3", "--out", str(tmp_path),
                "sample", "bridge", "--paths", "4"])
@@ -185,14 +213,32 @@ def test_cli_worker_count_reproduces_bytes(tmp_path):
 
 
 def test_verify_deterministic_rows_keep_their_bytes(tmp_path):
-    # phi-atom (the Sturm solver) and tail-transform draw no paths; the
-    # digest was recorded at commit 0ce91e7, before the solver filled its
-    # free runs in closed form, and that rewrite must not move a byte
-    cfg = RunConfig(dt=0.01, n_paths=320, master_seed=13, out_dir=str(tmp_path))
-    assert cli.cmd_verify(cfg, ["phi-atom", "tail-transform"]) == 0
-    body = (next(tmp_path.iterdir()) / "results.csv").read_bytes()
-    assert hashlib.sha256(body).hexdigest() == (
-        "82cae4918edd73517d46062061939eb22912d14cf7a01153b765833d5158152e")
+    # (experiments, results.csv digest, digest of the summary.json rows);
+    # summary.json keeps every float at full precision, so it also pins the
+    # last bits that the %.12g of results.csv rounds away
+    cases = (
+        # phi-atom (the Sturm solver) and tail-transform draw no paths; the
+        # csv digest was recorded at commit 0ce91e7, before the solver filled
+        # its free runs in closed form, and that rewrite must not move a byte
+        (["phi-atom", "tail-transform"],
+         "82cae4918edd73517d46062061939eb22912d14cf7a01153b765833d5158152e",
+         "23b5288e17d44407ac39be394c7e0e54bca98b48455cd74f9f3832711ceffc6f"),
+        # the whole battery, recorded at commit 74b774e, before the samplers
+        # and the exit/hit indices were reduced to one copy each
+        (cli.BATTERY,
+         "cd56073ce0e867fa35ef9b269f8deb550a746b4d34c450712603bd4af0a383ef",
+         "c10a23eb1087a38e6bf6cbd3aa24dfa8c37df1d400059f5758d45415af82f318"),
+    )
+    for k, (names, csv_digest, rows_digest) in enumerate(cases):
+        out = tmp_path / str(k)
+        cfg = RunConfig(dt=0.01, n_paths=320, master_seed=13, out_dir=str(out))
+        assert cli.cmd_verify(cfg, list(names)) == 0
+        run = next(out.iterdir())
+        body = (run / "results.csv").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == csv_digest, names
+        rows = json.loads((run / "summary.json").read_text())["rows"]
+        rows_json = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(rows_json).hexdigest() == rows_digest, names
 
 
 def test_run_dir_same_second_gets_distinct_directories(tmp_path, monkeypatch):

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from penalab.estimator import (CHUNK, EstimatorResult, IdentityCheck,
-                               bm_chunk_pass, derive_seed, path_pass,
-                               run_chunked)
+                               bessel_chunk_pass, bm_chunk_pass, derive_seed,
+                               path_pass, run_chunked)
 
 
 def test_derive_seed_stable_and_distinct():
@@ -62,14 +62,38 @@ def test_bm_chunk_pass_matches_substreams():
     g = make_grid(0.5, 0.01)
     for i in range(3):
         p = sample_bm(0.5, g, substream(11, i))
-        np.testing.assert_allclose(got["X"][i], p.values, atol=1e-12)
+        np.testing.assert_array_equal(got["X"][i], p.values)
+
+
+def test_bessel_chunk_pass_matches_substreams():
+    from penalab.samplers import sample_bessel3, substream
+    from penalab.paths import make_grid
+    got = {}
+
+    def ev(X):
+        got["X"] = X.copy()
+        return {"end": (X[:, -1], None)}
+
+    run_chunked(3, 12, bessel_chunk_pass(1.5, 50, 0.01, ev))
+    g = make_grid(0.5, 0.01)
+    for i in range(3):
+        p = sample_bessel3(1.5, g, substream(12, i))
+        np.testing.assert_array_equal(got["X"][i], p.values)
 
 
 def test_path_pass_shapes():
-    def make(gen, idx):
+    from penalab.samplers import substream
+    gens = []
+
+    def make(gen):
+        idx = len(gens)
+        gens.append(gen)
         return {"a": (float(idx), idx % 2 == 0), "b": (1.0, False)}
 
     accs = run_chunked(10, 0, path_pass(make))
+    # path i draws from substream i
+    for i, gen in enumerate(gens):
+        assert gen.standard_normal() == substream(0, i).standard_normal()
     assert accs["a"].result(0.1).mean == pytest.approx(4.5)
     assert accs["a"].result(0.1).censor_rate == pytest.approx(0.5)
     assert accs["b"].result(0.1).std_error == 0.0
@@ -88,12 +112,18 @@ def test_identity_check_verdicts():
         "t", EstimatorResult(mean=6.0, std_error=0.01, n_paths=100),
         EstimatorResult.exact(5.0), mode="upper")
     assert up2.verdict == "FAIL"
+    # a negative control passes exactly when the plain comparison fails
+    for plain in (c, c2, up, up2):
+        neg = IdentityCheck.must_fail("t", plain.lhs, plain.rhs, mode=plain.mode)
+        assert neg.verdict == ("PASS" if plain.verdict == "FAIL" else "FAIL")
+        assert neg.tolerance == plain.tolerance
 
 
 def test_censoring_forces_inconclusive():
     lhs = EstimatorResult(mean=1.0, std_error=0.01, n_paths=100, censor_rate=0.06)
     c = IdentityCheck.build("t", lhs, EstimatorResult.exact(1.0))
     assert c.verdict == "INCONCLUSIVE"
+    assert IdentityCheck.must_fail("t", lhs, EstimatorResult.exact(1.0)).verdict == "FAIL"
     ok = EstimatorResult(mean=1.0, std_error=0.01, n_paths=100, censor_rate=0.04)
     assert IdentityCheck.build("t", ok, EstimatorResult.exact(1.0)).verdict == "PASS"
 
@@ -118,26 +148,30 @@ def test_kahan_reproducibility_against_order():
     assert abs(s1 - np.sum(data, dtype=np.longdouble)) / abs(s1) < 1e-12
 
 
-def test_mc_estimate_unweighted_constant():
-    from penalab.estimator import mc_estimate
+def test_path_pass_unweighted_constant():
     from penalab.paths import make_grid
     from penalab.samplers import sample_bm
     g = make_grid(0.5, 0.01)
-    r = mc_estimate(lambda p: 1.0, lambda gen: sample_bm(0.0, g, gen),
-                    n_paths=500, seed=3, dt=0.01)
+
+    def make(gen):
+        sample_bm(0.0, g, gen)
+        return {"v": (1.0, False)}
+
+    r = run_chunked(500, 3, path_pass(make))["v"].result(0.01)
     assert r.mean == 1.0 and r.std_error == 0.0 and r.n_paths == 500
     with pytest.raises(ValueError):
-        mc_estimate(lambda p: 1.0, lambda gen: sample_bm(0.0, g, gen),
-                    n_paths=0, seed=3)
+        run_chunked(0, 3, path_pass(make))
 
 
-def test_mc_estimate_weighted_damped_exit():
-    from penalab.estimator import mc_estimate
+def test_path_pass_weighted_damped_exit():
     from penalab.paths import last_exit_time, make_grid
     from penalab.samplers import WProposal, sample_W
     g = make_grid(40.0, 0.01)
     prop = WProposal(kind="gamma", theta=1.0, alpha=1.0)
-    r = mc_estimate(lambda p: np.exp(-last_exit_time(p).time),
-                    lambda gen: sample_W(prop, g, gen),
-                    n_paths=2500, seed=4, dt=0.01, budget=0.01)
+
+    def make(gen):
+        wp = sample_W(prop, g, gen)
+        return {"v": (wp.weight * np.exp(-last_exit_time(wp.path).time), wp.censored)}
+
+    r = run_chunked(2500, 4, path_pass(make))["v"].result(0.01, budget=0.01)
     assert abs(r.mean - 2 ** -0.5) <= 4 * r.std_error + 0.01

@@ -5,11 +5,9 @@ import pytest
 from scipy import special
 
 from penalab.functionals import (abs_gauss_exp_moment, bessel_mean,
-                                 centered_wiener_integral, exp_density,
-                                 f_phi_integral, fk_log_weight, fk_weight_t,
-                                 fk_weight_total, gaussian_envelope,
-                                 local_time_band, local_time_signed,
-                                 local_time_zero, occupation_integral, phi_a,
+                                 exp_density, f_phi_integral, fk_log_weight,
+                                 gaussian_envelope, local_time_band,
+                                 local_time_signed, occupation_integral, phi_a,
                                  wiener_integral)
 from penalab.integrands import Integrand, MeasureSpec
 from penalab.paths import SamplePath, concat, make_grid, shift
@@ -30,7 +28,7 @@ def bm_matrix(n_paths, n_steps, dt, seed, x0=0.0):
 def test_local_time_away_from_level_is_zero():
     g = make_grid(1.0, 0.01)
     p = SamplePath(g, np.full(g.n + 1, 5.0))
-    assert local_time_zero(p).value == 0.0
+    assert local_time_band(p.values, p.dt) == 0.0
     assert local_time_signed(p.values) == 0.0
 
 
@@ -74,14 +72,20 @@ def test_signed_local_time_splits_exactly():
     assert total == pytest.approx(left + right, abs=1e-12)
 
 
+def fk_weight(V, x, t=None):
+    """K_t(V; x), at the horizon when t is None."""
+    k = None if t is None else x.grid.index(t)
+    return float(np.exp(fk_log_weight(V, x.values, x.dt, upto=k)))
+
+
 def test_fk_weight_trivial_cases():
     g = make_grid(2.0, 0.01)
     p = SamplePath(g, np.zeros(g.n + 1))
-    assert fk_weight_t(MeasureSpec.empty(), p, 2.0).value == 1.0
+    assert fk_weight(MeasureSpec.empty(), p, 2.0) == 1.0
     far = SamplePath(g, np.full(g.n + 1, 5.0))
-    assert fk_weight_t(MeasureSpec.point(0.0, 3.0), far, 2.0).value == 1.0
+    assert fk_weight(MeasureSpec.point(0.0, 3.0), far, 2.0) == 1.0
     # box density along the zero path: occupation = t exactly
-    got = fk_weight_t(MeasureSpec.box(-1, 1, 1), p, 2.0).value
+    got = fk_weight(MeasureSpec.box(-1, 1, 1), p, 2.0)
     assert got == pytest.approx(np.exp(-2.0), rel=1e-12)
 
 
@@ -99,9 +103,9 @@ def test_fk_weight_multiplicative_on_concat():
     z = concat(x_path, y_path)
     for V in (MeasureSpec.point(0.0, 1.0), MeasureSpec.box(-0.5, 0.5, 2.0),
               MeasureSpec.points([(-0.3, 1.0), (0.2, 0.5)])):
-        whole = fk_weight_total(V, z).value
-        left = fk_weight_t(V, z, 1.0).value
-        right = fk_weight_total(V, shift(z, 1.0)).value
+        whole = fk_weight(V, z)
+        left = fk_weight(V, z, 1.0)
+        right = fk_weight(V, shift(z, 1.0))
         assert whole == pytest.approx(left * right, rel=1e-12)
 
 
@@ -112,19 +116,8 @@ def test_fk_weight_on_sigma_finite_draw_stops_at_u():
     V = MeasureSpec.point(0.0, 1.3)
     ku = wp.path.grid.index(wp.u)
     upto = np.exp(fk_log_weight(V, wp.path.values, 0.01, upto=ku))
-    full = fk_weight_total(V, wp.path).value
+    full = fk_weight(V, wp.path)
     assert full == pytest.approx(upto, rel=1e-12)
-
-
-def test_fk_total_censor_flag():
-    g = make_grid(1.0, 0.01)
-    near = SamplePath(g, np.full(g.n + 1, 1.5))     # inside support+3
-    v = MeasureSpec.point(0.0, 1.0)
-    assert fk_weight_total(v, near).censored
-    far = SamplePath(g, np.full(g.n + 1, 9.0))
-    assert not fk_weight_total(v, far).censored
-    wobble = SamplePath(g, 9.0 * np.cos(np.linspace(0, 60, g.n + 1)))
-    assert fk_weight_total(v, wobble).censored      # not sign-constant late
 
 
 def test_wiener_integral_step_exact():
@@ -202,11 +195,6 @@ def test_f_phi_integral_exact_vs_quadrature():
     want = quad(lambda s: phi_a(1.5, s), 0, 1.0)[0]
     assert f_phi_integral(f, 1.5) == pytest.approx(want, rel=1e-5)
     assert f_phi_integral(Integrand.zero(), 0.0) == 0.0
-
-
-def test_centered_wiener_integral_zero_for_zero_f():
-    X = bm_matrix(3, 100, 0.01, seed=48) + 1.0
-    assert np.all(centered_wiener_integral(Integrand.zero(), X, 0.01, 1.0) == 0.0)
 
 
 def test_envelope_closed_form_and_trivial_tail():

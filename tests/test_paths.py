@@ -124,6 +124,12 @@ def test_last_exit_cases():
     # interior strict sign change resolves to the later grid point
     w = path([1.0, -1.0, 2.0, 5.0], dt=1.0)
     assert last_exit_time(w).time == 2.0
+    # an exact interior zero is the last exit, not the step after it
+    z = path([1.0, -1.0, 0.0, 2.0, 3.0], dt=1.0)
+    assert last_exit_time(z).time == 2.0
+    # an exact zero at the horizon is censored
+    end = last_exit_time(path([1.0, 2.0, 0.0], dt=1.0))
+    assert end.time == 2.0 and end.censored
 
 
 def test_hitting_cases():
@@ -135,6 +141,16 @@ def test_hitting_cases():
     down = SamplePath(g, 1.0 - g.times())
     assert hitting_time(down, 0.0) == 1.0
     assert hitting_time(lin, 5.0) is None
+    # levels between grid values resolve to the first point past them
+    assert hitting_time(lin, 0.37) == 0.4
+    steep = SamplePath(g, 1.0 - 2.0 * g.times())
+    assert hitting_time(steep, -0.5) == 0.8
+    assert hitting_time(down, -0.5) is None        # never reaches it
+    # identically zero path hits 0 at once
+    assert hitting_time(SamplePath(g, np.zeros(g.n + 1)), 0.0) == 0.0
+    # an exact interior visit is the hit, not the step after it
+    assert hitting_time(path([2.0, 1.0, 0.0, -1.0], dt=1.0), 0.0) == 2.0
+    assert hitting_time(path([2.0, 0.0, 0.0, 1.0], dt=1.0), 0.0) == 1.0
 
 
 def test_hitting_monotone_under_horizon_extension():

@@ -1,0 +1,66 @@
+"""The public surface: every exported name resolves, and the benchmark's
+tracer, which wraps package functions by name from outside, installs on the
+package and its undo restores the originals."""
+import importlib
+import importlib.util
+import pkgutil
+import sys
+from pathlib import Path
+
+import penalab
+
+SUBMODULES = [importlib.import_module(f"penalab.{m.name}")
+              for m in pkgutil.iter_modules(penalab.__path__)]
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bindings():
+    """Every module-level binding of the package and its submodules, and the
+    methods the tracer wraps."""
+    out = {(m.__name__, k): v for m in [penalab, *SUBMODULES] for k, v in vars(m).items()}
+    for cls in (penalab.integrands.Integrand, penalab.integrands.MeasureSpec):
+        out.update(((cls.__name__, k), v) for k, v in vars(cls).items())
+    return out
+
+
+def test_every_exported_name_resolves():
+    for name in penalab.__all__:
+        assert hasattr(penalab, name), name
+    for mod in SUBMODULES:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), (mod.__name__, name)
+
+
+def test_benchmark_tracer_installs_and_undoes():
+    tr = _load_tracer()
+    before = _bindings()
+    tracer = tr.Tracer()
+    undo = tr.install(tracer)
+    try:
+        for modname, attr, _ in tr.TARGETS:
+            wrapped = getattr(sys.modules[modname], attr)
+            assert wrapped.__wrapped__ is before[modname, attr], (modname, attr)
+        for _, clsname, meth, _ in tr.METHODS:
+            cls = getattr(penalab.integrands, clsname)
+            assert vars(cls)[meth] is not before[clsname, meth]
+        # the wrappers accept the package's own call signatures
+        est = penalab.estimator
+        accs = est.run_chunked(3, 11, est.bm_chunk_pass(
+            0.0, 10, 0.01, lambda X: {"end": (X[:, -1], None)}))
+        assert accs["end"].n == 3
+    finally:
+        undo()
+    assert tracer.counters["estimator.paths"] == 3
+    assert tracer.counters["estimator.bm_steps"] == 30
+    assert {"estimator.run_chunked", "estimator.bm_chunk", "samplers.substream"} \
+        <= {s[1] for s in tracer.spans}
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []

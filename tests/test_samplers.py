@@ -5,9 +5,9 @@ import pytest
 from penalab.functionals import bessel_mean, exp_density
 from penalab.integrands import Integrand, MeasureSpec
 from penalab.paths import ConfigurationError, last_exit_time, make_grid
-from penalab.samplers import (RngStream, WProposal, sample_bessel3, sample_bm,
+from penalab.samplers import (WProposal, sample_bessel3, sample_bm,
                               sample_bridge, sample_symmetrized_bessel,
-                              sample_W, sample_Wx, sample_WV, substream)
+                              sample_W, sample_WV, substream)
 from penalab.sturm import solve_phi
 
 
@@ -17,7 +17,7 @@ def test_substream_determinism():
     c = substream(123, 8).standard_normal(16)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert RngStream(123, 7).generator().standard_normal() == a[0] == b[0]
+    assert substream(123, 7).standard_normal() == a[0] == b[0]
 
 
 def test_bm_moments():
@@ -184,17 +184,6 @@ def test_heavy_proposal_weight_density_identity():
         assert w * q == pytest.approx(1.0 / np.sqrt(2 * np.pi * u), rel=1e-12)
 
 
-def test_wx_shift():
-    grid = make_grid(20.0, 0.01)
-    prop = WProposal(kind="gamma", theta=1.0, alpha=1.0)
-    base = sample_W(prop, grid, substream(9, 4))
-    shifted = sample_Wx(1.5, prop, grid, substream(9, 4))
-    np.testing.assert_allclose(shifted.path.values, base.path.values + 1.5)
-    assert shifted.u == base.u and shifted.weight == base.weight
-    k = grid.index(shifted.u)
-    assert shifted.path.values[k] == 1.5
-
-
 def test_wv_drift_and_zero_drift_sanity():
     sol = solve_phi(MeasureSpec.point(0.0, 2.0), L=50.0, dx=1e-3)
     # drift = sgn(x) / (1/lambda + |x|)
@@ -215,15 +204,3 @@ def test_wv_drift_and_zero_drift_sanity():
     d1 = sample_WV(0.0, flat, g, substream(10, 3))
     b1 = sample_bm(0.0, g, substream(10, 3))
     np.testing.assert_allclose(d1.path.values, b1.values, atol=1e-12)
-
-
-def test_wx_last_exit_differs_from_u():
-    # the functional of the shifted path uses its own last exit, not u
-    grid = make_grid(20.0, 0.01)
-    prop = WProposal(kind="gamma", theta=1.0, alpha=1.0)
-    differs = 0
-    for i in range(20):
-        wp = sample_Wx(1.5, prop, grid, substream(12, i))
-        le = last_exit_time(wp.path)
-        differs += (le.time != wp.u)
-    assert differs > 0

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from penalab import sturm
-from penalab.functionals import fk_weight_t
+from penalab.functionals import fk_log_weight
 from penalab.integrands import MeasureSpec
 from penalab.paths import SamplePath, make_grid
 from penalab.samplers import sample_bm, substream
@@ -123,7 +123,7 @@ def test_fk_consistency_with_martingale_density():
     g = make_grid(2.0, 1e-3)
     p = sample_bm(0.0, g, substream(80, 1))
     m = martingale_density(sol, p, 2.0)
-    k = fk_weight_t(V, p, 2.0).value
+    k = np.exp(fk_log_weight(V, p.values, p.dt, upto=p.grid.index(2.0)))
     want = sol.phi_at(p.values[-1]) / sol.phi_at(0.0) * k
     assert m == pytest.approx(want, rel=1e-12)
 
