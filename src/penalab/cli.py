@@ -204,7 +204,11 @@ def cmd_verify(cfg: RunConfig, names: list[str]) -> int:
 def cmd_report(paths: list[str]) -> int:
     rows = []
     for p in paths:
-        for f in sorted(Path(p).rglob("summary.json")):
+        found = sorted(Path(p).rglob("summary.json"))
+        if not found:
+            print(f"no summary.json under {p}", file=sys.stderr)
+            return 1
+        for f in found:
             data = json.loads(f.read_text(encoding="utf-8"))
             for r in data["rows"]:
                 rows.append((str(f.parent.name), r))

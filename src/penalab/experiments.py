@@ -187,9 +187,9 @@ def exp_w_oracle(cfg: RunConfig) -> list[IdentityCheck]:
     prop2 = WProposal.for_decay(2.0)
 
     def make2(gen):
-        wp = sample_W(prop2, grid, gen)
-        le = last_exit_time(wp.path)
-        return {"v": (wp.weight * np.exp(-2.0 * le.time), wp.censored)}
+        # reads only g: leg 1 checks on full paths that the last exit is u
+        wp = sample_W(prop2, grid, gen, need=0)
+        return {"v": (wp.weight * np.exp(-2.0 * wp.u), wp.censored)}
 
     accs2 = run_chunked(max(1000, cfg.n_paths // 10),
                         derive_seed(cfg.master_seed, "w-oracle-matched"),

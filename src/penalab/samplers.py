@@ -17,7 +17,10 @@ one sigma-finite draw the consumption order is fixed: bridge length, bridge
 normals, global sign, Bessel normals.  Because the Bessel normals come last,
 a draw cut at a horizon index (``sample_W(..., need=k)``) is a bit-exact
 prefix of the full draw; it serves functionals that read the path only up
-to max(index(u), k), and its grid is the prefix's, not the horizon's.
+to max(index(u), k), and its grid is the prefix's, not the horizon's.  With
+k = 0 the draw stops at the end of the bridge: w-oracle's matched-theta leg
+reads only g = u, while its first leg keeps full draws, on which it checks
+that the last exit equals u.
 
 Two proposals are available for the bridge-length integral du / sqrt(2 pi u):
 
@@ -159,14 +162,6 @@ class WProposal:
                 raise ConfigurationError(
                     f"horizon t_max={t_max} too small for theta={self.theta}"
                     f" (proposal tail {tail:.2e} >= {GAMMA_TAIL_LIMIT})")
-
-    def truncation_mass(self, t_max: float) -> float:
-        """Proposal-free statement of what lies beyond the horizon: the
-        untruncated proposal mass above t_max (gamma) or 0 by construction
-        (heavy, which renormalizes on (0, t_max])."""
-        if self.kind == "gamma":
-            return float(special.erfc(np.sqrt(t_max / self.theta)))
-        return 0.0
 
     def draw(self, t_max: float, rng: np.random.Generator) -> tuple[float, float, bool]:
         """Return (u_raw, weight, censored)."""

@@ -184,6 +184,13 @@ def test_cli_report_aggregates(tmp_path, capsys):
     assert "tail-transform/exact-4/3" in out
 
 
+def test_cli_report_without_summary_is_an_error(tmp_path, capsys):
+    # a mistyped path must not read as a run whose every verdict is PASS
+    for p in (tmp_path / "missing", tmp_path):
+        assert main(["report", str(p)]) == 1
+        assert capsys.readouterr().err == f"no summary.json under {p}\n"
+
+
 def test_cli_worker_count_reproduces_means(tmp_path):
     outs = []
     for w in ("1", "2"):
@@ -191,11 +198,10 @@ def test_cli_worker_count_reproduces_means(tmp_path):
         rc = main(["--dt", "0.008", "--n", "512", "--seed", "21",
                    "--workers", w, "--out", str(d), "verify", "w-oracle"])
         assert rc == 0
-        rows = json.loads((next(d.iterdir()) / "summary.json").read_text())["rows"]
-        outs.append({r["experiment"]: r["lhs_mean"] for r in rows})
-    for k, v in outs[0].items():
-        got = outs[1][k]
-        assert got == pytest.approx(v, rel=1e-12, abs=1e-15)
+        run = next(d.iterdir())
+        rows = json.loads((run / "summary.json").read_text())["rows"]
+        outs.append(((run / "results.csv").read_bytes(), rows))
+    assert outs[0] == outs[1]
 
 
 def test_cli_worker_count_reproduces_bytes(tmp_path):

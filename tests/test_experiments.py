@@ -3,8 +3,10 @@ import hashlib
 
 import pytest
 
+from penalab import experiments
 from penalab.config import RunConfig
 from penalab.experiments import BATTERY, REGISTRY, envelope_rows, run_experiment
+from penalab.samplers import WProposal
 
 TOY = RunConfig(dt=1e-2, t_max=40.0, n_paths=600, master_seed=99)
 
@@ -22,6 +24,28 @@ def test_verdicts_are_reproducible():
     b = run_experiment("w-oracle", TOY)
     assert [(r.name, r.verdict, r.lhs.mean) for r in a] == \
            [(r.name, r.verdict, r.lhs.mean) for r in b]
+
+
+def test_w_oracle_matched_leg_draws_only_its_bridge(monkeypatch):
+    # the matched leg reads only g, so its draws stop at index(u); leg 1
+    # keeps full draws, on which it checks that the last exit is u
+    draws = []
+    real = experiments.sample_W
+
+    def spy(prop, grid, rng, need=None):
+        wp = real(prop, grid, rng, need=need)
+        draws.append((prop, grid, wp))
+        return wp
+
+    monkeypatch.setattr(experiments, "sample_W", spy)
+    rows = run_experiment("w-oracle", RunConfig(dt=0.01, n_paths=320, master_seed=13))
+    assert all(r.verdict == "PASS" for r in rows)
+    prop2 = WProposal.for_decay(2.0)
+    matched = [(g, wp) for p, g, wp in draws if p == prop2]
+    full = [(g, wp) for p, g, wp in draws if p != prop2]
+    assert len(matched) == len(full) == 1000
+    assert all(wp.path.grid.n == g.index(wp.u) for g, wp in matched)
+    assert all(wp.path.grid.n == g.n for g, wp in full)
 
 
 def test_negative_controls_detect_violations():

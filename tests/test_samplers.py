@@ -4,7 +4,8 @@ import pytest
 
 from penalab.functionals import bessel_mean, exp_density
 from penalab.integrands import Integrand, MeasureSpec
-from penalab.paths import ConfigurationError, last_exit_time, make_grid
+from penalab.paths import (ConfigurationError, last_exit_index, last_exit_time,
+                           make_grid)
 from penalab.samplers import (WProposal, sample_bessel3, sample_bm,
                               sample_bridge, sample_symmetrized_bessel,
                               sample_W, sample_WV, substream)
@@ -128,7 +129,6 @@ def test_wproposal_contracts():
     with pytest.raises(ConfigurationError):
         p.validate(4.0)             # horizon too small for the tail limit
     p.validate(10.0)
-    assert WProposal(kind="heavy", theta=10.0).truncation_mass(40.0) == 0.0
 
 
 def test_w_weight_formula_and_glue():
@@ -170,6 +170,26 @@ def test_w_need_draw_is_prefix_of_full_draw(prop, t_max):
         for t in (None, 0.0, 1.0, 2.0, 5.0):
             assert exp_density(f, cut.path.values, grid.dt, t=t) == \
                 exp_density(f, full.path.values, grid.dt, t=t)
+
+
+def test_w_need_zero_draw_stops_at_the_bridge_end():
+    # need=0 builds the bridge and the sign only; the coarse grid makes ku
+    # reach both its floor 1 and the grid.n - 1 clamp
+    grid = make_grid(12.0, 0.5)
+    reached = set()
+    for prop in (WProposal(kind="gamma", theta=1.0), WProposal(kind="gamma", theta=0.5),
+                 WProposal(kind="heavy", theta=10.0)):
+        for i in range(50):
+            full = sample_W(prop, grid, substream(41, i))
+            cut = sample_W(prop, grid, substream(41, i), need=0)
+            ku = grid.index(full.u)
+            reached.add(ku)
+            assert cut.path.grid.n == ku
+            np.testing.assert_array_equal(cut.path.values, full.path.values[: ku + 1])
+            assert (cut.weight, cut.u, cut.censored) == (full.weight, full.u, full.censored)
+            assert cut.path.values[-1] == 0.0
+            assert last_exit_index(full.path.values) == ku
+    assert {1, grid.n - 1} <= reached
 
 
 def test_heavy_proposal_weight_density_identity():
