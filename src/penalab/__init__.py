@@ -4,8 +4,7 @@ measure, its Feynman-Kac penalisations and its translation identities."""
 from .config import RunConfig
 from .estimator import EstimatorResult, IdentityCheck
 from .integrands import Integrand, MeasureSpec
-from .paths import (SamplePath, TimeGrid, WeightedPath, concat, hitting_time,
-                    last_exit_time, make_grid, shift, translate)
+from .paths import SamplePath, TimeGrid, WeightedPath, last_exit_time, make_grid
 from .samplers import (WProposal, sample_bessel3, sample_bm, sample_bridge,
                        sample_symmetrized_bessel, sample_W, sample_WV, substream)
 from .sturm import PhiSolution, atomic_phi_oracle, martingale_density, \
@@ -15,8 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RunConfig", "EstimatorResult", "IdentityCheck", "Integrand", "MeasureSpec",
-    "SamplePath", "TimeGrid", "WeightedPath", "concat", "hitting_time",
-    "last_exit_time", "make_grid", "shift", "translate",
+    "SamplePath", "TimeGrid", "WeightedPath", "last_exit_time", "make_grid",
     "WProposal", "sample_bessel3", "sample_bm", "sample_bridge",
     "sample_symmetrized_bessel", "sample_W", "sample_WV", "substream",
     "PhiSolution", "atomic_phi_oracle", "martingale_density",

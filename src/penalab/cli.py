@@ -209,9 +209,14 @@ def cmd_report(paths: list[str]) -> int:
             print(f"no summary.json under {p}", file=sys.stderr)
             return 1
         for f in found:
-            data = json.loads(f.read_text(encoding="utf-8"))
-            for r in data["rows"]:
-                rows.append((str(f.parent.name), r))
+            try:
+                got = json.loads(f.read_text(encoding="utf-8"))["rows"]
+            except (ValueError, KeyError, TypeError):
+                got = None
+            if not isinstance(got, list):
+                print(f"{f}: not a summary (empty, invalid JSON or no rows list)", file=sys.stderr)
+                return 1
+            rows.extend((str(f.parent.name), r) for r in got)
     print(f"{'run':28s} {'experiment':48s} {'verdict':12s} lhs rhs tol")
     for run, r in rows:
         print(f"{run:28s} {r['experiment']:48s} {r['verdict']:12s} "
@@ -254,6 +259,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_sources(args.config, overrides)
         V = _parse_vspec(args.vspec) if args.command == "phi" else None
+        if args.command == "sample" and args.paths < 1:
+            raise ValueError(f"--paths must be at least 1, got {args.paths}")
     except (ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 1

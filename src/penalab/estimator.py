@@ -37,7 +37,6 @@ class EstimatorResult:
     std_error: float
     n_paths: int
     censor_rate: float = 0.0
-    dt: float = 0.0
     discretization_budget: float = 0.0
     z_mult: float = 4.0
 
@@ -59,10 +58,6 @@ class IdentityCheck:
     tolerance: float
     mode: str = "two-sided"      # "two-sided" | "upper"  (upper: lhs <= rhs + tol)
     note: str = ""
-
-    @property
-    def difference(self) -> float:
-        return self.lhs.mean - self.rhs.mean
 
     @staticmethod
     def build(name: str, lhs: EstimatorResult, rhs: EstimatorResult,
@@ -117,14 +112,14 @@ class _Accum:
             self.cens += int(np.count_nonzero(censored))
         self.n += v.size
 
-    def result(self, dt: float, budget: float = 0.0, z_mult: float = 4.0) -> EstimatorResult:
+    def result(self, budget: float = 0.0, z_mult: float = 4.0) -> EstimatorResult:
         if self.n == 0:
             raise ValueError("estimator ran over zero paths")
         mean = self.s / self.n
         var = max(0.0, self.q / self.n - mean * mean)
         se = np.sqrt(var / self.n)
         return EstimatorResult(mean=mean, std_error=float(se), n_paths=self.n,
-                               censor_rate=self.cens / self.n, dt=dt,
+                               censor_rate=self.cens / self.n,
                                discretization_budget=budget, z_mult=z_mult)
 
 

@@ -29,7 +29,7 @@ from .functionals import (abs_gauss_exp_moment, exp_density, f_phi_integral,
                           fk_log_weight, gaussian_envelope, local_time_signed,
                           occupation_integral, phi_a, wiener_integral)
 from .integrands import Integrand, MeasureSpec
-from .paths import hitting_index, last_exit_index, last_exit_time
+from .paths import TimeGrid, hitting_index, last_exit_index, last_exit_time
 from .samplers import WProposal, _bridge_values, sample_W, substream
 from .sturm import atomic_phi_oracle, scale_gamma, solve_phi
 
@@ -103,6 +103,25 @@ def _grid_h(f: Integrand, n: int, dt: float, T: float | None = None) -> np.ndarr
     return f.primitive_on_grid(np.arange(n + 1) * dt, T=T)
 
 
+# -- Monte Carlo legs ------------------------------------------------------------
+
+def _leg(cfg: RunConfig, tag: str, n: int, chunk_fn) -> dict:
+    """One Monte Carlo leg: n paths on the substreams seeded by (master_seed, tag)."""
+    return run_chunked(n, derive_seed(cfg.master_seed, tag), chunk_fn, cfg.n_workers)
+
+
+def _w_pass(prop: WProposal, grid: TimeGrid, fn, need: int | None = None):
+    """Chunk function over sigma-finite draws: fn(wp) -> {name: value} on
+    sample_W(prop, grid, gen, need=need), each value flagged with the draw's
+    censoring."""
+
+    def make(gen):
+        wp = sample_W(prop, grid, gen, need=need)
+        return {k: (v, wp.censored) for k, v in fn(wp).items()}
+
+    return path_pass(make)
+
+
 # -- experiments ---------------------------------------------------------------
 
 
@@ -160,43 +179,34 @@ def exp_w_oracle(cfg: RunConfig) -> list[IdentityCheck]:
     prop = WProposal(kind="gamma", theta=cfg.theta, alpha=min(alphas))
     grid = cfg.grid()
 
-    def make(gen):
-        wp = sample_W(prop, grid, gen)
-        le = last_exit_time(wp.path)
-        out = {f"a{a}": (wp.weight * np.exp(-a * le.time), wp.censored) for a in alphas}
-        out["g-mismatch"] = (float(le.time != wp.u), False)
+    def fn(wp):
+        g = last_exit_time(wp.path).time
+        out = {f"a{a}": wp.weight * np.exp(-a * g) for a in alphas}
+        out["g-mismatch"] = float(g != wp.u)
         return out
 
-    n = max(1000, cfg.n_paths // 2)
-    accs = run_chunked(n, derive_seed(cfg.master_seed, "w-oracle"),
-                       path_pass(make), cfg.n_workers)
+    accs = _leg(cfg, "w-oracle", max(1000, cfg.n_paths // 2), _w_pass(prop, grid, fn))
     rows = []
     for a in alphas:
-        lhs = accs[f"a{a}"].result(cfg.dt, budget=a * cfg.dt, z_mult=cfg.z_mult)
+        lhs = accs[f"a{a}"].result(budget=a * cfg.dt, z_mult=cfg.z_mult)
         rhs_val, _ = sq.quad(lambda u: _m0(u) * np.exp(-a * u), 0, np.inf, limit=200)
         rows.append(IdentityCheck.build(
             f"w-oracle/alpha={a}", lhs, EstimatorResult.exact(rhs_val),
             note="closed form 1/sqrt(2 alpha)"))
-    mism = accs["g-mismatch"].result(cfg.dt, z_mult=cfg.z_mult)
+    mism = accs["g-mismatch"].result(z_mult=cfg.z_mult)
     rows.append(IdentityCheck.build(
         "w-oracle/last-exit-equals-u",
         EstimatorResult.exact(mism.mean * mism.n_paths), EstimatorResult.exact(0.0),
         note="construction invariant, zero failures allowed"))
 
     # matched proposal theta = 1/alpha: the u-part of the weight cancels exactly
-    prop2 = WProposal.for_decay(2.0)
-
-    def make2(gen):
-        # reads only g: leg 1 checks on full paths that the last exit is u
-        wp = sample_W(prop2, grid, gen, need=0)
-        return {"v": (wp.weight * np.exp(-2.0 * wp.u), wp.censored)}
-
-    accs2 = run_chunked(max(1000, cfg.n_paths // 10),
-                        derive_seed(cfg.master_seed, "w-oracle-matched"),
-                        path_pass(make2), cfg.n_workers)
+    # reads only g: leg 1 checks on full paths that the last exit is u
+    accs2 = _leg(cfg, "w-oracle-matched", max(1000, cfg.n_paths // 10),
+                 _w_pass(WProposal.for_decay(2.0), grid,
+                         lambda wp: {"v": wp.weight * np.exp(-2.0 * wp.u)}, need=0))
     rows.append(IdentityCheck.build(
         "w-oracle/alpha=2-matched-theta",
-        accs2["v"].result(cfg.dt, budget=2 * cfg.dt, z_mult=cfg.z_mult),
+        accs2["v"].result(budget=2 * cfg.dt, z_mult=cfg.z_mult),
         EstimatorResult.exact(0.5), note="theta = 1/alpha, zero-variance in u"))
     return rows
 
@@ -218,9 +228,9 @@ def exp_penal_limit(cfg: RunConfig) -> list[IdentityCheck]:
         def eval_matrix(X, V=V):
             return {"v": (factor * np.exp(fk_log_weight(V, X, cfg.dt)), None)}
 
-        accs = run_chunked(cfg.n_paths, derive_seed(cfg.master_seed, f"penal-{tag}"),
-                           bm_chunk_pass(x, n_steps, cfg.dt, eval_matrix), cfg.n_workers)
-        lhs = accs["v"].result(cfg.dt, budget=0.0, z_mult=cfg.z_mult)
+        accs = _leg(cfg, f"penal-{tag}", cfg.n_paths,
+                    bm_chunk_pass(x, n_steps, cfg.dt, eval_matrix))
+        lhs = accs["v"].result(budget=0.0, z_mult=cfg.z_mult)
         rows.append(IdentityCheck.build(
             f"penal-limit/{tag}", lhs, EstimatorResult.exact(target, budget=0.05 * target),
             note="finite-t limit deficit and local-time bias inside the 5% budget"))
@@ -261,9 +271,8 @@ def exp_kernel_identity(cfg: RunConfig) -> list[IdentityCheck]:
                         out[f"{tag}/t={t}/{zn}"] = (z * kfull * tail, None)
             return out
 
-        accs_l = run_chunked(cfg.n_paths // 2,
-                             derive_seed(cfg.master_seed, f"kernel-identity-lhs-x{x}"),
-                             bm_chunk_pass(x, kU, cfg.dt, eval_lhs), cfg.n_workers)
+        accs_l = _leg(cfg, f"kernel-identity-lhs-x{x}", cfg.n_paths // 2,
+                      bm_chunk_pass(x, kU, cfg.dt, eval_lhs))
         for t in ts:
             kt = int(round(t / cfg.dt))
 
@@ -277,13 +286,12 @@ def exp_kernel_identity(cfg: RunConfig) -> list[IdentityCheck]:
                         out[f"{tag}/{zn}"] = (z * val, None)
                 return out
 
-            accs_r = run_chunked(cfg.n_paths // 2,
-                                 derive_seed(cfg.master_seed, f"kernel-identity-rhs-x{x}-t{t}"),
-                                 bm_chunk_pass(x, kt, cfg.dt, eval_rhs), cfg.n_workers)
+            accs_r = _leg(cfg, f"kernel-identity-rhs-x{x}-t{t}", cfg.n_paths // 2,
+                          bm_chunk_pass(x, kt, cfg.dt, eval_rhs))
             for tag, V in Vs:
                 for zn in ("Z=1", "Z=sigmoid", "Z=indicator"):
-                    lhs = accs_l[f"{tag}/t={t}/{zn}"].result(cfg.dt, z_mult=cfg.z_mult)
-                    rhs = accs_r[f"{tag}/{zn}"].result(cfg.dt, z_mult=cfg.z_mult)
+                    lhs = accs_l[f"{tag}/t={t}/{zn}"].result(z_mult=cfg.z_mult)
+                    rhs = accs_r[f"{tag}/{zn}"].result(z_mult=cfg.z_mult)
                     budget = _fk_budget(V, cfg.dt, lhs.mean) + _fk_budget(V, cfg.dt, rhs.mean)
                     rows.append(IdentityCheck.build(
                         f"kernel-identity/{tag}/x={x}/t={t}/{zn}", lhs, rhs, extra_budget=budget,
@@ -337,8 +345,7 @@ def exp_markov(cfg: RunConfig) -> list[IdentityCheck]:
             out[f"{tag}/stopping-rhs-aux"] = (z_tau * phi_f(X[rowsn, k_tau]), None)
         return out
 
-    accs_l = run_chunked(cfg.n_paths // 2, derive_seed(cfg.master_seed, "markov-lhs"),
-                         bm_chunk_pass(0.0, kU, cfg.dt, eval_lhs), cfg.n_workers)
+    accs_l = _leg(cfg, "markov-lhs", cfg.n_paths // 2, bm_chunk_pass(0.0, kU, cfg.dt, eval_lhs))
 
     def eval_rhs(X):
         out = {}
@@ -349,24 +356,23 @@ def exp_markov(cfg: RunConfig) -> list[IdentityCheck]:
                 out[f"{tag}/{zn}"] = (z * val, None)
         return out
 
-    accs_r = run_chunked(cfg.n_paths // 2, derive_seed(cfg.master_seed, "markov-rhs"),
-                         bm_chunk_pass(0.0, kT, cfg.dt, eval_rhs), cfg.n_workers)
+    accs_r = _leg(cfg, "markov-rhs", cfg.n_paths // 2, bm_chunk_pass(0.0, kT, cfg.dt, eval_rhs))
 
     for tag, V in Vs:
         for zn in ("Z=1", "Z=sigmoid", "Z=indicator"):
-            lhs = accs_l[f"{tag}/fixed/{zn}"].result(cfg.dt, z_mult=cfg.z_mult)
-            rhs = accs_r[f"{tag}/{zn}"].result(cfg.dt, z_mult=cfg.z_mult)
+            lhs = accs_l[f"{tag}/fixed/{zn}"].result(z_mult=cfg.z_mult)
+            rhs = accs_r[f"{tag}/{zn}"].result(z_mult=cfg.z_mult)
             budget = _fk_budget(V, cfg.dt, lhs.mean)
             rows.append(IdentityCheck.build(
                 f"markov/{tag}/T={T}/{zn}", lhs, rhs, extra_budget=budget,
                 note=f"sigma-finite side via exact reduction at U={U}"))
-        lhs_s = accs_l[f"{tag}/stopping"].result(cfg.dt, z_mult=cfg.z_mult)
-        rhs_s = accs_l[f"{tag}/stopping-rhs-aux"].result(cfg.dt, z_mult=cfg.z_mult)
+        lhs_s = accs_l[f"{tag}/stopping"].result(z_mult=cfg.z_mult)
+        rhs_s = accs_l[f"{tag}/stopping-rhs-aux"].result(z_mult=cfg.z_mult)
         rows.append(IdentityCheck.build(
             f"markov/{tag}/stopping-tau1^T", lhs_s, rhs_s,
             extra_budget=_fk_budget(V, cfg.dt, lhs_s.mean),
             note="tau = first visit to 1, capped at T; common paths"))
-    lhs = accs_r["V=d0/Z=1"].result(cfg.dt, z_mult=cfg.z_mult)
+    lhs = accs_r["V=d0/Z=1"].result(z_mult=cfg.z_mult)
     rows.append(IdentityCheck.build(
         "markov/closed-form/W[1+|X_1|]", lhs,
         EstimatorResult.exact(1.0 + np.sqrt(2.0 / np.pi)),
@@ -383,25 +389,22 @@ def exp_tau0(cfg: RunConfig) -> list[IdentityCheck]:
     prop = WProposal(kind="heavy", theta=cfg.theta_heavy)
     xs = (-1.0, -0.5, 0.5, 1.0)
 
-    def make(gen):
-        wp = sample_W(prop, grid, gen)
+    def fn(wp):
         out = {}
         for x in xs:
             never = hitting_index(wp.path.values + x, 0.0) is None
-            out[f"x={x}"] = (wp.weight * float(never), wp.censored)
+            out[f"x={x}"] = wp.weight * float(never)
         return out
 
-    accs = run_chunked(cfg.n_paths // 2, derive_seed(cfg.master_seed, "tau0"),
-                       path_pass(make), cfg.n_workers)
+    accs = _leg(cfg, "tau0", cfg.n_paths // 2, _w_pass(prop, grid, fn))
     rows = []
     for x in xs:
         tail, _ = sq.quad(
             lambda u: _m0(u) * 0.5 * (1.0 - np.exp(-2.0 * x * x / u)),
             cfg.t_max, np.inf, limit=400)
-        body = accs[f"x={x}"].result(cfg.dt, z_mult=cfg.z_mult)
+        body = accs[f"x={x}"].result(z_mult=cfg.z_mult)
         est = EstimatorResult(mean=body.mean + tail, std_error=body.std_error,
-                              n_paths=body.n_paths, censor_rate=body.censor_rate,
-                              dt=cfg.dt, z_mult=cfg.z_mult)
+                              n_paths=body.n_paths, censor_rate=body.censor_rate, z_mult=cfg.z_mult)
         # barrier-shift bias of grid crossing detection + undetected late
         # Bessel crossings (mean ball-exit time bound)
         budget = 0.65 * np.sqrt(cfg.dt) + 0.5 * (x * x / 3.0) * _m0(max(1.0, cfg.t_max - 4 * x * x))
@@ -433,36 +436,33 @@ def exp_cm_brownian(cfg: RunConfig) -> list[IdentityCheck]:
     for ftag, fi in (("f=0", F_ZERO), ("f=unit", f)):
         h = _grid_h(fi, n_steps, cfg.dt)
 
-        def eval_matrix(X, fi=fi, h=h):
+        def eval_matrix(X, fi=fi, h=h, ftag=ftag):
             lhs = battery(X + h)
             ee = exp_density(fi, X, cfg.dt)
             rhs = battery(X)
             out = {}
             for k in lhs:
                 out[f"{k}/diff"] = (lhs[k] - rhs[k] * ee, None)
-                out[f"{k}/lhs"] = (lhs[k], None)
-                out[f"{k}/rhs"] = (rhs[k] * ee, None)
+            if ftag == "f=unit":
+                # closed-form oracle leg on the same paths: E sigmoid(X_1 + h_1)
+                out["oracle"] = (_sigmoid(X[:, k1] + 1.0), None)
             return out
 
-        accs = run_chunked(cfg.n_paths, derive_seed(cfg.master_seed, f"cm-{ftag}"),
-                           bm_chunk_pass(0.0, n_steps, cfg.dt, eval_matrix), cfg.n_workers)
+        accs = _leg(cfg, f"cm-{ftag}", cfg.n_paths,
+                    bm_chunk_pass(0.0, n_steps, cfg.dt, eval_matrix))
         for k in ("F=exp(-g^T)", "F=sigmoid(X1)", "F=exp(-L1)"):
-            d = accs[f"{k}/diff"].result(cfg.dt, z_mult=cfg.z_mult)
+            d = accs[f"{k}/diff"].result(z_mult=cfg.z_mult)
             budget = 0.0 if ftag == "f=0" else 0.3 * np.sqrt(cfg.dt) * (k == "F=exp(-L1)")
             rows.append(IdentityCheck.build(
                 f"cm-brownian/{ftag}/{k}", d, EstimatorResult.exact(0.0),
                 extra_budget=budget,
                 note="paired difference" + ("; exact-zero control" if ftag == "f=0" else "")))
-    # closed-form oracle: E sigmoid(X_1 + h_1) by Gauss-Hermite
+    # the oracle's target by Gauss-Hermite; accs holds the f=unit leg
     zs, ws = np.polynomial.hermite.hermgauss(96)
     target = float(np.dot(ws, _sigmoid(np.sqrt(2.0) * zs + 1.0)) / np.sqrt(np.pi))
-    accs = run_chunked(cfg.n_paths, derive_seed(cfg.master_seed, "cm-f=unit"),
-                       bm_chunk_pass(0.0, n_steps, cfg.dt,
-                                     lambda X: {"v": (_sigmoid(X[:, k1] + 1.0), None)}),
-                       cfg.n_workers)
     rows.append(IdentityCheck.build(
         "cm-brownian/oracle/sigmoid-shift",
-        accs["v"].result(cfg.dt, z_mult=cfg.z_mult), EstimatorResult.exact(target),
+        accs["oracle"].result(z_mult=cfg.z_mult), EstimatorResult.exact(target),
         note="Gaussian mean-shift quadrature"))
     return rows
 
@@ -489,8 +489,7 @@ def exp_translation_identity(cfg: RunConfig) -> list[IdentityCheck]:
     trunc_ts = (0.5, 3.0)
     h_trunc = {f"T={T}": _grid_h(F_HALF, n, cfg.dt, T=T) for T in trunc_ts}
 
-    def make(gen):
-        wp = sample_W(prop, grid, gen)
+    def fn(wp):
         X = wp.path.values
         w = wp.weight
         # each distinct path once: X, X + h per drift f, X + h^T per T;
@@ -515,39 +514,38 @@ def exp_translation_identity(cfg: RunConfig) -> list[IdentityCheck]:
             Gr = float(_sigmoid(X[k1])) if gk == "sig" else 1.0
             lhs = w * Gl * gamma(V, fkey)
             rhs = w * Gr * gamma(V, "X") * ee[fkey]
-            out[f"{ftag}/diff"] = (lhs - rhs, wp.censored)
-            out[f"{ftag}/lhs"] = (lhs, wp.censored)
+            out[f"{ftag}/diff"] = lhs - rhs
+            out[f"{ftag}/lhs"] = lhs
         # f = 0 control: same functional on both sides, difference exactly 0
         g0 = gamma(V_D0, "X")
-        out["control/diff"] = (w * g0 - w * g0 * 1.0, wp.censored)
+        out["control/diff"] = w * g0 - w * g0 * 1.0
         # truncated-drift form, f = half, V = d0, G = 1
         for T in trunc_ts:
             lhs = w * gamma(V_D0, f"T={T}")
             rhs = w * g0 * float(exp_density(F_HALF, X, cfg.dt, t=T))
-            out[f"trunc/T={T}/diff"] = (lhs - rhs, wp.censored)
+            out[f"trunc/T={T}/diff"] = lhs - rhs
         return out
 
-    n_used = max(2000, cfg.n_paths // 4)
-    accs = run_chunked(n_used, derive_seed(cfg.master_seed, "translation-identity"),
-                       path_pass(make), cfg.n_workers)
+    accs = _leg(cfg, "translation-identity", max(2000, cfg.n_paths // 4),
+                _w_pass(prop, grid, fn))
     rows = []
     for ftag, f, V, gk in _MAIN_COMBOS:
-        d = accs[f"{ftag}/diff"].result(cfg.dt, z_mult=cfg.z_mult)
-        scale = accs[f"{ftag}/lhs"].result(cfg.dt).mean
+        d = accs[f"{ftag}/diff"].result(z_mult=cfg.z_mult)
+        scale = accs[f"{ftag}/lhs"].result().mean
         budget = (_translation_tail_budget(f, cfg.t_max)
                   + _fk_budget(V, cfg.dt, scale))
         rows.append(IdentityCheck.build(
             f"translation-identity/{ftag}", d, EstimatorResult.exact(0.0),
             extra_budget=budget,
             note="paired difference; horizon tail budget from reflection bound"))
-    dc = accs["control/diff"].result(cfg.dt, z_mult=cfg.z_mult)
+    dc = accs["control/diff"].result(z_mult=cfg.z_mult)
     rows.append(IdentityCheck.build(
         "translation-identity/control-f=0", dc, EstimatorResult.exact(0.0),
         note="must be exactly zero (pairing machinery)"))
     for T in trunc_ts:
-        d = accs[f"trunc/T={T}/diff"].result(cfg.dt, z_mult=cfg.z_mult)
+        d = accs[f"trunc/T={T}/diff"].result(z_mult=cfg.z_mult)
         budget = (_translation_tail_budget(F_HALF, cfg.t_max)
-                  + _fk_budget(V_D0, cfg.dt, accs["f=half/V=d0/G=1/lhs"].result(cfg.dt).mean))
+                  + _fk_budget(V_D0, cfg.dt, accs["f=half/V=d0/G=1/lhs"].result().mean))
         note = "truncated drift inside support" if T < F_HALF.support_end \
             else "T beyond support: equals the full form"
         rows.append(IdentityCheck.build(
@@ -566,23 +564,21 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
     nb = len(edges) - 1
     need = int(round(f.support_end / cfg.dt))
 
-    def make(gen):
-        # reads u and X up to the support end of f: the draw stops there
-        wp = sample_W(prop, grid, gen, need=need)
+    def fn(wp):
         X = wp.path.values
         damp = np.exp(-wp.u) * wp.weight
         e = float(exp_density(f, X, cfg.dt, t=f.support_end)) * damp
         out = {}
         b = int(np.searchsorted(edges, wp.u, side="left")) - 1
         for k in range(nb):
-            out[f"bin{k}"] = (e if k == b else 0.0, wp.censored)
+            out[f"bin{k}"] = e if k == b else 0.0
         # undrifted control bins: the bare density integrates in closed form
         for k in (0, 4):
-            out[f"f0bin{k}"] = (damp if k == b else 0.0, wp.censored)
+            out[f"f0bin{k}"] = damp if k == b else 0.0
         return out
 
-    accs = run_chunked(cfg.n_paths // 2, derive_seed(cfg.master_seed, "exit-lhs"),
-                       path_pass(make), cfg.n_workers)
+    # reads u and X up to the support end of f: the draw stops there
+    accs = _leg(cfg, "exit-lhs", cfg.n_paths // 2, _w_pass(prop, grid, fn, need=need))
 
     # product side: Simpson in s = sqrt(u) with Monte Carlo factors per node
     def factors(u, seed_tag, n_inner):
@@ -640,10 +636,9 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
         rhs_val = float(np.dot(ww, vals))
         rhs_se = float(np.dot(ww, ses))
         rhs = EstimatorResult(mean=rhs_val, std_error=rhs_se, n_paths=5 * n_inner,
-                              dt=cfg.dt, z_mult=cfg.z_mult,
-                              discretization_budget=0.02 * rhs_val)
-        lhs = accs[f"bin{k}"].result(cfg.dt, budget=cfg.dt * lhs_budget_scale(lo),
-                                     z_mult=cfg.z_mult)
+                              z_mult=cfg.z_mult, discretization_budget=0.02 * rhs_val)
+        # u-rounding affects bin membership only at the edges; one-step allowance
+        lhs = accs[f"bin{k}"].result(budget=cfg.dt * (1.0 if lo > 0 else 2.0), z_mult=cfg.z_mult)
         rows.append(IdentityCheck.build(
             f"exit-density/bin({lo},{hi}]", lhs, rhs,
             note="translated-law bin mass, drift-density weighted form"))
@@ -657,23 +652,18 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
     spot = np.exp(ends - 0.5)
     lhs = EstimatorResult(mean=float(spot.mean()),
                           std_error=float(spot.std() / np.sqrt(len(spot))),
-                          n_paths=len(spot), dt=cfg.dt, z_mult=cfg.z_mult)
+                          n_paths=len(spot), z_mult=cfg.z_mult)
     rows.append(IdentityCheck.build(
         "exit-density/pinned-spot-u=1", lhs, EstimatorResult.exact(np.exp(-0.5)),
         note="bridge pins the integral: zero variance"))
     for k in (0, 4):
         lo, hi = edges[k], edges[k + 1]
         want, _ = sq.quad(lambda u: _m0(u) * np.exp(-u), lo, hi, limit=200)
-        got = accs[f"f0bin{k}"].result(cfg.dt, budget=cfg.dt, z_mult=cfg.z_mult)
+        got = accs[f"f0bin{k}"].result(budget=cfg.dt, z_mult=cfg.z_mult)
         rows.append(IdentityCheck.build(
             f"exit-density/f=0-bin({lo},{hi}]", got, EstimatorResult.exact(want),
             note="undrifted law: incomplete-Gamma quadrature"))
     return rows
-
-
-def lhs_budget_scale(lo: float) -> float:
-    # u-rounding affects bin membership only at the edges; one-step allowance
-    return 1.0 if lo > 0 else 2.0
 
 
 def exp_convex_moments(cfg: RunConfig) -> list[IdentityCheck]:
@@ -698,19 +688,17 @@ def exp_convex_moments(cfg: RunConfig) -> list[IdentityCheck]:
                         "psi=(e^|x|-1)^2": ((np.exp(np.abs(wi)) - 1.0) ** 2, None),
                         "uncentered": ((wi + center) ** 2, None)}
 
-            accs = run_chunked(cfg.n_paths // 2,
-                               derive_seed(cfg.master_seed, f"convex-moments-{ftag}-a{a}"),
-                               bessel_chunk_pass(a, n_steps, cfg.dt, eval_matrix),
-                               cfg.n_workers)
+            accs = _leg(cfg, f"convex-moments-{ftag}-a{a}", cfg.n_paths // 2,
+                        bessel_chunk_pass(a, n_steps, cfg.dt, eval_matrix))
             for pn, tv in targets.items():
-                lhs = accs[pn].result(cfg.dt, z_mult=Z_ONE_SIDED)
+                lhs = accs[pn].result(z_mult=Z_ONE_SIDED)
                 rows.append(IdentityCheck.build(
                     f"convex-moments/{ftag}/a={a}/{pn}", lhs, EstimatorResult.exact(tv),
                     mode="upper", note="one-sided via 3 se"))
             if a == 0.0 and ftag == "f=unit":
                 rows.append(IdentityCheck.must_fail(
                     f"convex-moments/{ftag}/a={a}/negative-control",
-                    accs["uncentered"].result(cfg.dt, z_mult=Z_ONE_SIDED),
+                    accs["uncentered"].result(z_mult=Z_ONE_SIDED),
                     EstimatorResult.exact(targets["psi=x^2"]), mode="upper",
                     note="uncentered integral must violate the bound"))
     return rows
@@ -724,29 +712,26 @@ def exp_nondeg_bound(cfg: RunConfig) -> list[IdentityCheck]:
     combos = (("f=0/V=d0", F_ZERO, V_D0), ("f=half/V=d0", F_HALF, V_D0),
               ("f=half/V=2d0", F_HALF, V_2D0), ("f=step3/V=box", F_STEP3, V_BOX))
 
-    def make(gen):
-        wp = sample_W(prop, grid, gen)
+    def fn(wp):
         X = wp.path.values
         out = {}
         for tag, f, V in combos:
             kv = np.exp(fk_log_weight(V, X, cfg.dt))
-            out[tag] = (wp.weight * kv * float(exp_density(f, X, cfg.dt)), wp.censored)
+            out[tag] = wp.weight * kv * float(exp_density(f, X, cfg.dt))
         return out
 
-    accs = run_chunked(max(2000, cfg.n_paths // 4),
-                       derive_seed(cfg.master_seed, "nondeg"),
-                       path_pass(make), cfg.n_workers)
+    accs = _leg(cfg, "nondeg", max(2000, cfg.n_paths // 4), _w_pass(prop, grid, fn))
     rows = []
     for tag, f, V in combos:
         phi_f, c_v, src = _phi_hat(V, cfg)
         bound = float(phi_f(0.0)) * np.exp(f.l1 / c_v)
-        lhs = accs[tag].result(cfg.dt, z_mult=Z_ONE_SIDED)
+        lhs = accs[tag].result(z_mult=Z_ONE_SIDED)
         rows.append(IdentityCheck.build(
             f"nondeg-bound/{tag}", lhs, EstimatorResult.exact(bound), mode="upper",
             note=f"C_V={c_v:.4f} ({src}); truncation lowers the left side"))
     rows.append(IdentityCheck.must_fail(
         "nondeg-bound/negative-control",
-        accs["f=0/V=d0"].result(cfg.dt, z_mult=Z_ONE_SIDED), EstimatorResult.exact(0.4),
+        accs["f=0/V=d0"].result(z_mult=Z_ONE_SIDED), EstimatorResult.exact(0.4),
         mode="upper", note="bound shrunk to 0.4 must be violated"))
     return rows
 
@@ -758,9 +743,7 @@ def exp_tail_vanishing(cfg: RunConfig) -> list[IdentityCheck]:
     ts = (0.0, 1.0, 2.0, 5.0)
     need = int(round(F_UNIT.support_end / cfg.dt))
 
-    def make(gen):
-        # reads u and X up to the support end of F_UNIT: the draw stops there
-        wp = sample_W(prop, grid, gen, need=need)
+    def fn(wp):
         X = wp.path.values
         out = {}
         for ftag, f in (("f=0", F_ZERO), ("f=unit", F_UNIT)):
@@ -768,15 +751,15 @@ def exp_tail_vanishing(cfg: RunConfig) -> list[IdentityCheck]:
                 v = 0.0
                 if wp.u > t:
                     v = wp.weight * float(exp_density(f, X, cfg.dt, t=t)) * np.exp(-wp.u)
-                out[f"{ftag}/t={t}"] = (v, wp.censored)
+                out[f"{ftag}/t={t}"] = v
         return out
 
-    accs = run_chunked(cfg.n_paths // 2, derive_seed(cfg.master_seed, "tail-vanishing"),
-                       path_pass(make), cfg.n_workers)
+    # reads u and X up to the support end of F_UNIT: the draw stops there
+    accs = _leg(cfg, "tail-vanishing", cfg.n_paths // 2, _w_pass(prop, grid, fn, need=need))
     rows = []
     for ftag in ("f=0", "f=unit"):
         for t in ts:
-            lhs = accs[f"{ftag}/t={t}"].result(cfg.dt, budget=cfg.dt, z_mult=Z_ONE_SIDED)
+            lhs = accs[f"{ftag}/t={t}"].result(budget=cfg.dt, z_mult=Z_ONE_SIDED)
             bound = np.exp(-t) / np.sqrt(2.0)
             rows.append(IdentityCheck.build(
                 f"tail-vanishing/{ftag}/t={t}", lhs, EstimatorResult.exact(bound),
@@ -784,7 +767,7 @@ def exp_tail_vanishing(cfg: RunConfig) -> list[IdentityCheck]:
                 note="edge equality at t=0, f=0" if (t == 0.0 and ftag == "f=0") else ""))
     rows.append(IdentityCheck.must_fail(
         "tail-vanishing/negative-control",
-        accs["f=0/t=0.0"].result(cfg.dt, budget=cfg.dt, z_mult=Z_ONE_SIDED),
+        accs["f=0/t=0.0"].result(budget=cfg.dt, z_mult=Z_ONE_SIDED),
         EstimatorResult.exact(0.25 / np.sqrt(2.0)), mode="upper",
         note="bound shrunk by 4 must be violated"))
     return rows
@@ -808,8 +791,7 @@ def exp_domination(cfg: RunConfig) -> list[IdentityCheck]:
         hts = np.unique(np.stack([_grid_h(f, n, cfg.dt, T=t) for t in t_list]), axis=0)
         h_T[ftag] = (_grid_h(f, n, cfg.dt, T=T), hts)
 
-    def make(gen):
-        wp = sample_W(prop, grid, gen)
+    def fn(wp):
         X = wp.path.values
         out = {}
         for ftag in ("f=0", "f=signed"):
@@ -817,23 +799,22 @@ def exp_domination(cfg: RunConfig) -> list[IdentityCheck]:
             occ1 = occupation_integral(X + hT, cfg.dt, v1)
             occ0 = occupation_integral(X[None, :] + hts, cfg.dt, v0)
             occ0b = occupation_integral(X[None, :] + hts, cfg.dt, v0_bad)
-            out[f"{ftag}/violation"] = (float(np.min(occ0 - occ1) < -1e-10), False)
-            out[f"{ftag}/control-violation"] = (float(np.min(occ0b - occ1) < -1e-10), False)
+            out[f"{ftag}/violation"] = float(np.min(occ0 - occ1) < -1e-10)
+            out[f"{ftag}/control-violation"] = float(np.min(occ0b - occ1) < -1e-10)
         return out
 
-    accs = run_chunked(n_used, derive_seed(cfg.master_seed, "domination"),
-                       path_pass(make), cfg.n_workers)
+    accs = _leg(cfg, "domination", n_used, _w_pass(prop, grid, fn))
     rows = []
     for ftag in ("f=0", "f=signed"):
         viol = accs[f"{ftag}/violation"]
-        count = EstimatorResult(mean=viol.s, std_error=0.0, n_paths=viol.n, dt=cfg.dt)
+        count = EstimatorResult(mean=viol.s, std_error=0.0, n_paths=viol.n)
         rows.append(IdentityCheck.build(
             f"domination/{ftag}", count, EstimatorResult.exact(0.0),
             note=f"pathwise over {viol.n} draws, t in {t_list}, tail condition at T={T}"))
         bad = accs[f"{ftag}/control-violation"]
         rows.append(IdentityCheck.must_fail(
             f"domination/{ftag}/negative-control",
-            EstimatorResult(mean=bad.s, std_error=0.0, n_paths=bad.n, dt=cfg.dt),
+            EstimatorResult(mean=bad.s, std_error=0.0, n_paths=bad.n),
             EstimatorResult.exact(0.0), note="shrunk plateau must produce violations"))
     return rows
 
@@ -879,7 +860,7 @@ def exp_dichotomy(cfg: RunConfig) -> list[IdentityCheck]:
         lt = local_time_signed(X)
         a_ind = (np.abs(X[:, -1]) < 1.0).astype(float)
         empty = (np.abs(X[:, -1]) < 0.0).astype(float)     # impossible event
-        out = {"W(A)": (a_ind, None), "q99-aux": (lt, None)}
+        out = {"W(A)": (a_ind, None)}
         for lam in lams:
             damp = np.exp(-lam * np.maximum(lt, 0.0))
             out[f"A/lam={lam}"] = (a_ind * damp, None)
@@ -887,14 +868,13 @@ def exp_dichotomy(cfg: RunConfig) -> list[IdentityCheck]:
             out[f"empty/lam={lam}"] = (empty * damp, None)
         return out
 
-    accs = run_chunked(cfg.n_paths, derive_seed(cfg.master_seed, "dichotomy"),
-                       bm_chunk_pass(0.0, n_steps, cfg.dt, eval_matrix), cfg.n_workers)
+    accs = _leg(cfg, "dichotomy", cfg.n_paths, bm_chunk_pass(0.0, n_steps, cfg.dt, eval_matrix))
     rows = []
-    wa = accs["W(A)"].result(cfg.dt, z_mult=cfg.z_mult)
+    wa = accs["W(A)"].result(z_mult=cfg.z_mult)
     ests = {}
     for lam in lams:
         for tag in ("A", "full"):
-            r = accs[f"{tag}/lam={lam}"].result(cfg.dt, z_mult=cfg.z_mult)
+            r = accs[f"{tag}/lam={lam}"].result(z_mult=cfg.z_mult)
             ests[(tag, lam)] = (r.mean / lam, r.std_error / lam)
     diffs = [ests[("A", lams[i + 1])][0] - ests[("A", lams[i])][0]
              for i in range(len(lams) - 1)]
@@ -909,18 +889,16 @@ def exp_dichotomy(cfg: RunConfig) -> list[IdentityCheck]:
             rows.append(IdentityCheck.build(
                 f"dichotomy/full-space/lam={lam}",
                 EstimatorResult.exact(0.9 / lam),
-                EstimatorResult(mean=m, std_error=se, n_paths=wa.n_paths,
-                                dt=cfg.dt, z_mult=cfg.z_mult),
+                EstimatorResult(mean=m, std_error=se, n_paths=wa.n_paths, z_mult=cfg.z_mult),
                 mode="upper", note="grows at least like 0.9 / lambda"))
         # proof-shaped lower bound with the empirical damping factor
         m, se = ests[("A", lam)]
         lowm = (wa.mean - 4.0 * wa.std_error) / lam * np.exp(-lam * 4.0)
         rows.append(IdentityCheck.build(
             f"dichotomy/lower/lam={lam}", EstimatorResult.exact(lowm),
-            EstimatorResult(mean=m, std_error=se, n_paths=wa.n_paths,
-                            dt=cfg.dt, z_mult=cfg.z_mult),
+            EstimatorResult(mean=m, std_error=se, n_paths=wa.n_paths, z_mult=cfg.z_mult),
             mode="upper", note="(W(A) - 4 se)/lambda with damping allowance"))
-    empty_worst = max(accs[f"empty/lam={lam}"].result(cfg.dt).mean for lam in lams)
+    empty_worst = max(accs[f"empty/lam={lam}"].result().mean for lam in lams)
     rows.append(IdentityCheck.build(
         "dichotomy/empty-event", EstimatorResult.exact(empty_worst),
         EstimatorResult.exact(0.0), note="null event stays null at every lambda"))
@@ -946,11 +924,9 @@ def envelope_rows(cfg: RunConfig, f: Integrand = F_HALF) -> list[IdentityCheck]:
                     ee = exp_density(ft, -X if a < 0 else X, cfg.dt)
                     return {"v": ((ee - 1.0) ** 2, None)}
 
-                accs = run_chunked(cfg.n_paths // 4,
-                                   derive_seed(cfg.master_seed, f"env-{t}-{a}"),
-                                   bessel_chunk_pass(abs(a), n_steps, cfg.dt, eval_matrix),
-                                   cfg.n_workers)
-                lhs = accs["v"].result(cfg.dt, z_mult=Z_ONE_SIDED)
+                accs = _leg(cfg, f"env-{t}-{a}", cfg.n_paths // 4,
+                            bessel_chunk_pass(abs(a), n_steps, cfg.dt, eval_matrix))
+                lhs = accs["v"].result(z_mult=Z_ONE_SIDED)
             rows.append(IdentityCheck.build(
                 f"envelope/t={t}/a={a}", lhs, EstimatorResult.exact(env), mode="upper"))
             if t == 0.0 and a == 0.0:

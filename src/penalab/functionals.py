@@ -2,15 +2,13 @@
 exponential densities, Bessel mean functions and tail envelopes.
 
 Array kernels accept a trailing path axis, so a (batch, n+1) matrix of paths
-evaluates in one call.
+evaluates in one call.  Integrands are step functions: Wiener integrals
+telescope exactly over their pieces.
 
-Two local-time estimators are provided.  The band estimator (occupation of
-(-eps, eps) over 2 eps, default eps = sqrt(dt)) is the classical one, with a
-documented O(eps) bias.  The signed-increment estimator derived from the
-|X - y| decomposition is exactly unbiased in the mean for Brownian paths at
-any step size and carries no bandwidth; the Feynman-Kac weights use it, which
-keeps the exp(-lambda L) functionals free of the band's grazing bias on paths
-that approach a level without touching it.
+The local time is the signed-increment estimator derived from the |X - y|
+decomposition: exactly unbiased in the mean for Brownian paths at any step
+size, with no bandwidth, and identically 0 on paths that never change sign
+around the level.
 """
 from __future__ import annotations
 
@@ -20,7 +18,7 @@ from scipy import special
 from .integrands import Integrand, MeasureSpec
 
 __all__ = [
-    "local_time_band", "local_time_signed",
+    "local_time_signed",
     "occupation_integral", "fk_log_weight",
     "wiener_integral", "exp_density",
     "phi_a", "bessel_mean", "f_phi_integral",
@@ -38,22 +36,6 @@ def _trapezoid_weights(m: int, dt: float) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
-
-
-def local_time_band(values: np.ndarray, dt: float, level: float = 0.0,
-                    eps: float | None = None, upto: int | None = None) -> np.ndarray:
-    """Band estimator: occupation time of (level-eps, level+eps) / (2 eps),
-    trapezoidal in time.  Default eps = sqrt(dt)."""
-    if eps is None:
-        eps = np.sqrt(dt)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    v = np.asarray(values)
-    if upto is not None:
-        v = v[..., : upto + 1]
-    ind = (np.abs(v - level) < eps).astype(float)
-    w = _trapezoid_weights(v.shape[-1], dt)
-    return ind @ w / (2.0 * eps)
 
 
 def local_time_signed(values: np.ndarray, level: float = 0.0,
@@ -100,32 +82,27 @@ def fk_log_weight(V: MeasureSpec, values: np.ndarray, dt: float,
 
 def wiener_integral(f: Integrand, values: np.ndarray, dt: float,
                     t: float | None = None) -> np.ndarray:
-    """int_0^t f(s) dX_s.
-
-    Step integrands use the exact telescoping sum (breakpoints snapped to the
-    grid); tabulated ones the left-point Ito sum.  t = None means the full
-    horizon, which must contain the support of f.
+    """int_0^t f(s) dX_s, as the exact telescoping sum over the steps of f
+    (breakpoints snapped to the grid).  t = None means the full horizon,
+    which must contain the support of f.
     """
     v = np.asarray(values)
     n = v.shape[-1] - 1
     k_end = n if t is None else int(round(t / dt))
     if t is None and f.support_end > n * dt * (1 + 1e-12):
         raise ValueError("support of f exceeds the path horizon")
-    if f.kind == "step":
-        out = 0.0
-        for j, c in enumerate(f.levels):
-            if c == 0.0:
-                continue
-            a, b = f.breaks[j], f.breaks[j + 1]
-            ka, kb = int(round(a / dt)), int(round(b / dt))
-            if abs(ka * dt - a) > 1e-9 * max(1.0, a) or abs(kb * dt - b) > 1e-9 * max(1.0, b):
-                raise ValueError("step breakpoints must lie on the grid")
-            ka, kb = min(ka, k_end), min(kb, k_end)
-            if kb > ka:
-                out = out + c * (v[..., kb] - v[..., ka])
-        return out + np.zeros(v.shape[:-1])
-    fv = f.value(np.arange(k_end) * dt)
-    return np.einsum("i,...i->...", fv, np.diff(v[..., : k_end + 1], axis=-1))
+    out = 0.0
+    for j, c in enumerate(f.levels):
+        if c == 0.0:
+            continue
+        a, b = f.breaks[j], f.breaks[j + 1]
+        ka, kb = int(round(a / dt)), int(round(b / dt))
+        if abs(ka * dt - a) > 1e-9 * max(1.0, a) or abs(kb * dt - b) > 1e-9 * max(1.0, b):
+            raise ValueError("step breakpoints must lie on the grid")
+        ka, kb = min(ka, k_end), min(kb, k_end)
+        if kb > ka:
+            out = out + c * (v[..., kb] - v[..., ka])
+    return out + np.zeros(v.shape[:-1])
 
 
 def exp_density(f: Integrand, values: np.ndarray, dt: float,
@@ -174,31 +151,20 @@ def f_phi_integral(f: Integrand, a: float) -> float:
     s = r^2; exact per piece when a = 0, piecewise trapezoid otherwise."""
     if f.is_zero:
         return 0.0
-    if f.kind == "step":
-        tot = 0.0
-        for j, c in enumerate(f.levels):
-            if c == 0.0:
-                continue
-            lo, hi = np.sqrt(f.breaks[j]), np.sqrt(f.breaks[j + 1])
-            if a == 0.0:
-                tot += c * _SQRT_2_OVER_PI * 2.0 * (hi - lo)
-                continue
-            r = np.linspace(lo, hi, 2001)
-            integ = np.zeros_like(r)
-            pos = r > 0
-            integ[pos] = 2.0 * r[pos] * phi_a(a, r[pos] ** 2)
-            tot += c * np.trapezoid(integ, r)
-        return float(tot)
-    # tabulated: composite midpoint keeps the evaluation off cell boundaries
-    end = f.support_end
-    r = np.linspace(0.0, np.sqrt(end), 8001)
-    mid = 0.5 * (r[1:] + r[:-1])
-    vals = f.value(mid * mid)
-    if a == 0.0:
-        integ = 2.0 * _SQRT_2_OVER_PI * vals
-    else:
-        integ = 2.0 * mid * vals * phi_a(a, mid * mid)
-    return float(np.sum(integ * np.diff(r)))
+    tot = 0.0
+    for j, c in enumerate(f.levels):
+        if c == 0.0:
+            continue
+        lo, hi = np.sqrt(f.breaks[j]), np.sqrt(f.breaks[j + 1])
+        if a == 0.0:
+            tot += c * _SQRT_2_OVER_PI * 2.0 * (hi - lo)
+            continue
+        r = np.linspace(lo, hi, 2001)
+        integ = np.zeros_like(r)
+        pos = r > 0
+        integ[pos] = 2.0 * r[pos] * phi_a(a, r[pos] ** 2)
+        tot += c * np.trapezoid(integ, r)
+    return float(tot)
 
 
 # -- tail transforms and the Gaussian envelope -----------------------------------

@@ -1,20 +1,18 @@
 """Deterministic integrands f (drift densities) and penalisation measures V.
 
-An Integrand is either a finite step function (the workhorse: all norms,
-primitives and tail transforms come out in closed form) or a tabulated
-continuous function on a uniform table.  A MeasureSpec is a finite sum of
-point atoms plus a piecewise-linear density of compact support.
+An Integrand is a finite step function: all norms, primitives and tail
+transforms come out in closed form.  A MeasureSpec is a finite sum of point
+atoms plus a piecewise-linear density of compact support, whose rightmost
+support edge is closed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = ["Integrand", "MeasureSpec", "DensityPiece"]
-
-_REL_TOL = 1e-9
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -26,19 +24,12 @@ def _as_float_array(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Integrand:
-    """A deterministic f with compact support and finite L1/L2 norms.
-
-    Step form: f = sum_k levels[k] * 1_[breaks[k], breaks[k+1]).
-    Tabulated form: values sampled on a uniform table with spacing table_dt,
-    interpreted as left-continuous between table nodes.
+    """A deterministic step function f with compact support:
+    f = sum_k levels[k] * 1_[breaks[k], breaks[k+1]).
     """
 
-    kind: str                      # "step" | "tabulated"
-    breaks: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    levels: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    table_dt: float = 0.0
-    table: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    alpha_decay: float | None = None
+    breaks: np.ndarray
+    levels: np.ndarray
 
     def __post_init__(self):
         # l2sq_partial memo, per t; created here so that worker threads
@@ -48,42 +39,25 @@ class Integrand:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def step(breaks: Sequence[float], levels: Sequence[float],
-             alpha_decay: float | None = None) -> "Integrand":
+    def step(breaks: Sequence[float], levels: Sequence[float]) -> "Integrand":
         b = _as_float_array(breaks)
         c = _as_float_array(levels)
         if b.ndim != 1 or c.ndim != 1 or len(b) != len(c) + 1:
             raise ValueError("need len(breaks) == len(levels) + 1")
         if b[0] != 0.0 or np.any(np.diff(b) <= 0):
             raise ValueError("breaks must start at 0 and increase strictly")
-        return Integrand(kind="step", breaks=b, levels=c, alpha_decay=alpha_decay)
+        return Integrand(breaks=b, levels=c)
 
     @staticmethod
     def zero() -> "Integrand":
         return Integrand.step([0.0, 1.0], [0.0])
 
-    @staticmethod
-    def indicator(a: float, b: float, height: float = 1.0) -> "Integrand":
-        """height * 1_[a, b)."""
-        if a == 0.0:
-            return Integrand.step([0.0, b], [height])
-        return Integrand.step([0.0, a, b], [0.0, height])
-
-    @staticmethod
-    def tabulated(values: Sequence[float], table_dt: float) -> "Integrand":
-        v = _as_float_array(values)
-        if table_dt <= 0 or v.ndim != 1 or len(v) < 1:
-            raise ValueError("bad table")
-        return Integrand(kind="tabulated", table=v, table_dt=float(table_dt))
-
     # -- basic queries ------------------------------------------------------
 
     @property
     def support_end(self) -> float:
-        if self.kind == "step":
-            nz = np.nonzero(self.levels)[0]
-            return float(self.breaks[nz[-1] + 1]) if nz.size else 0.0
-        return float(len(self.table) * self.table_dt)
+        nz = np.nonzero(self.levels)[0]
+        return float(self.breaks[nz[-1] + 1]) if nz.size else 0.0
 
     @property
     def is_zero(self) -> bool:
@@ -92,33 +66,23 @@ class Integrand:
     def value(self, t) -> np.ndarray:
         """f(t), right-continuous; 0 outside the support."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "step":
-            idx = np.searchsorted(self.breaks, t, side="right") - 1
-            ok = (idx >= 0) & (idx < len(self.levels))
-            out = np.where(ok, self.levels[np.clip(idx, 0, max(len(self.levels) - 1, 0))], 0.0)
-            return out if out.ndim else float(out)
-        idx = np.floor(t / self.table_dt).astype(int)
-        ok = (t >= 0) & (idx < len(self.table))
-        out = np.where(ok, self.table[np.clip(idx, 0, len(self.table) - 1)], 0.0)
+        idx = np.searchsorted(self.breaks, t, side="right") - 1
+        ok = (idx >= 0) & (idx < len(self.levels))
+        out = np.where(ok, self.levels[np.clip(idx, 0, max(len(self.levels) - 1, 0))], 0.0)
         return out if out.ndim else float(out)
 
     # -- integrals ----------------------------------------------------------
 
     def primitive(self, t) -> np.ndarray:
-        """h(t) = int_0^t f(s) ds; exact for steps, trapezoid for tables."""
+        """h(t) = int_0^t f(s) ds, exact."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.kind == "step":
-            seg = np.concatenate([[0.0], np.cumsum(self.levels * np.diff(self.breaks))])
-            idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, len(self.levels))
-            base = seg[idx]
-            lev = np.where(idx < len(self.levels), self.levels[np.clip(idx, 0, len(self.levels) - 1)], 0.0)
-            out = base + lev * (t - self.breaks[idx])
-            out[t >= self.breaks[-1]] = seg[-1]
-        else:
-            nodes = np.arange(len(self.table) + 1) * self.table_dt
-            vals = np.concatenate([self.table, [0.0]])
-            cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * self.table_dt)])
-            out = np.interp(t, nodes, cum, left=0.0, right=cum[-1])
+        seg = np.concatenate([[0.0], np.cumsum(self.levels * np.diff(self.breaks))])
+        idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, len(self.levels))
+        base = seg[idx]
+        last = len(self.levels) - 1
+        lev = np.where(idx <= last, self.levels[np.clip(idx, 0, last)], 0.0)
+        out = base + lev * (t - self.breaks[idx])
+        out[t >= self.breaks[-1]] = seg[-1]
         return out if out.shape != (1,) else float(out[0])
 
     def primitive_on_grid(self, times: np.ndarray, T: float | None = None) -> np.ndarray:
@@ -134,11 +98,7 @@ class Integrand:
         memo = self._l2sq
         t = float(t)
         if t not in memo:
-            if self.kind == "step":
-                sq = Integrand.step(self.breaks, self.levels ** 2)
-            else:
-                sq = Integrand.tabulated(self.table ** 2, self.table_dt)
-            memo[t] = float(sq.primitive(t))
+            memo[t] = float(Integrand.step(self.breaks, self.levels ** 2).primitive(t))
         return memo[t]
 
     @property
@@ -147,68 +107,42 @@ class Integrand:
 
     @property
     def l1(self) -> float:
-        if self.kind == "step":
-            return float(np.sum(np.abs(self.levels) * np.diff(self.breaks)))
-        a = Integrand.tabulated(np.abs(self.table), self.table_dt)
-        return float(a.primitive(a.support_end))
+        return float(np.sum(np.abs(self.levels) * np.diff(self.breaks)))
 
     def tail_l2(self, t: float) -> float:
         """sigma_t = sqrt(int_t^inf f^2)."""
         return float(np.sqrt(max(0.0, self.l2_sq - self.l2sq_partial(t))))
 
-    def l1_tail(self, t: float) -> float:
-        if self.kind == "step":
-            a = Integrand.step(self.breaks, np.abs(self.levels))
-            return float(a.primitive(self.support_end) - a.primitive(t))
-        a = Integrand.tabulated(np.abs(self.table), self.table_dt)
-        return float(a.primitive(a.support_end) - a.primitive(t))
-
     def f_tilde(self, t: float) -> float:
-        """int_t^inf |f(s)| (s - t)^{-1/2} ds; exact per piece for steps.
+        """int_t^inf |f(s)| (s - t)^{-1/2} ds, exact per piece.
 
         The square-root singularity is absorbed: on a piece [a,b) with level c
         the contribution is |c| * 2 (sqrt(b-t) - sqrt(max(a,t)-t)).
         """
         if t >= self.support_end:
             return 0.0
-        if self.kind == "step":
-            tot = 0.0
-            for k, c in enumerate(self.levels):
-                if c == 0.0:
-                    continue
-                a, b = self.breaks[k], self.breaks[k + 1]
-                if b <= t:
-                    continue
-                lo = max(a, t)
-                tot += abs(c) * 2.0 * (np.sqrt(b - t) - np.sqrt(lo - t))
-            return float(tot)
-        # substitute s = t + r^2: 2 int_0^R |f(t + r^2)| dr, smooth integrand
-        R = np.sqrt(self.support_end - t)
-        r = np.linspace(0.0, R, 2001)
-        vals = np.abs(self.value(t + r * r))
-        return float(2.0 * np.trapezoid(vals, r))
+        tot = 0.0
+        for k, c in enumerate(self.levels):
+            if c == 0.0:
+                continue
+            a, b = self.breaks[k], self.breaks[k + 1]
+            if b <= t:
+                continue
+            lo = max(a, t)
+            tot += abs(c) * 2.0 * (np.sqrt(b - t) - np.sqrt(lo - t))
+        return float(tot)
 
     def shifted(self, t0: float) -> "Integrand":
         """f(. + t0)."""
         if t0 <= 0:
             return self
-        if self.kind == "step":
-            b = np.maximum(self.breaks - t0, 0.0)
-            keep = self.breaks[1:] > t0
-            nb = np.concatenate([[0.0], b[1:][keep]])
-            nl = self.levels[keep]
-            if nl.size == 0:
-                return Integrand.zero()
-            return Integrand.step(nb, nl)
-        k = int(np.floor(t0 / self.table_dt + _REL_TOL))
-        if k >= len(self.table):
+        b = np.maximum(self.breaks - t0, 0.0)
+        keep = self.breaks[1:] > t0
+        nb = np.concatenate([[0.0], b[1:][keep]])
+        nl = self.levels[keep]
+        if nl.size == 0:
             return Integrand.zero()
-        return Integrand.tabulated(self.table[k:], self.table_dt)
-
-    def scaled(self, c: float) -> "Integrand":
-        if self.kind == "step":
-            return Integrand.step(self.breaks, c * self.levels, self.alpha_decay)
-        return Integrand.tabulated(c * self.table, self.table_dt)
+        return Integrand.step(nb, nl)
 
 
 @dataclass(frozen=True)
@@ -256,7 +190,6 @@ class MeasureSpec:
 
     atoms: tuple = ()               # ((location, mass > 0), ...)
     pieces: tuple = ()              # (DensityPiece, ...), disjoint interiors
-    closed_right: bool = True       # include the rightmost support edge
 
     def __post_init__(self):
         for _, lam in self.atoms:
@@ -268,10 +201,6 @@ class MeasureSpec:
         # the empty measure is allowed as a trivial kernel (weight 1);
         # the penalisation admissibility condition is enforced where the
         # limit theorems need it (the ODE solver and the experiments)
-
-    @staticmethod
-    def empty() -> "MeasureSpec":
-        return MeasureSpec()
 
     @staticmethod
     def point(location: float = 0.0, mass: float = 1.0) -> "MeasureSpec":
@@ -337,7 +266,7 @@ class MeasureSpec:
             return np.zeros_like(x)
         xp, fp, edge, hb = self._knot_table()
         out = np.interp(x, xp, fp, left=0.0, right=0.0)
-        if self.closed_right and hb:
+        if hb:
             out = np.where(x == edge, hb, out)
         return out
 
@@ -361,12 +290,3 @@ class MeasureSpec:
         for p in self.pieces:
             r = max(r, abs(p.a), abs(p.b))
         return r
-
-    def scaled(self, c: float) -> "MeasureSpec":
-        if c <= 0:
-            raise ValueError("scale must be positive")
-        return MeasureSpec(
-            atoms=tuple((x, c * l) for x, l in self.atoms),
-            pieces=tuple(DensityPiece(p.a, p.b, c * p.ha, c * p.hb) for p in self.pieces),
-            closed_right=self.closed_right,
-        )

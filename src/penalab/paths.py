@@ -1,4 +1,4 @@
-"""Uniform time grids, discretized paths, and the path algebra.
+"""Uniform time grids, discretized paths, and the random times read off them.
 
 Zero detection is by sign change (x_{i-1} * x_i <= 0), never by an
 epsilon band: it is parameter-free and exact for the constructed
@@ -11,13 +11,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .integrands import Integrand
-
 __all__ = [
     "TimeGrid", "SamplePath", "WeightedPath", "LastExit",
-    "make_grid", "concat", "shift", "translate",
-    "last_exit_time", "hitting_time",
-    "last_exit_index", "hitting_index",
+    "make_grid", "last_exit_time", "last_exit_index", "hitting_index",
 ]
 
 _REL_TOL = 1e-9
@@ -101,38 +97,6 @@ class WeightedPath:
             raise ValueError("path must glue exactly at the bridge endpoint")
 
 
-# -- path algebra -----------------------------------------------------------
-
-def concat(x: SamplePath, y: SamplePath) -> SamplePath:
-    """Concatenation at u = x.t_max: x before u, shifted y after, glued when
-    the endpoints agree exactly; otherwise constant x_u after u."""
-    if abs(x.dt - y.dt) > _REL_TOL * x.dt:
-        raise ValueError("paths must share the same dt")
-    nx, ny = x.grid.n, y.grid.n
-    out = np.empty(nx + ny + 1)
-    out[:nx] = x.values[:nx]
-    if x.values[nx] == y.values[0]:
-        out[nx:] = y.values
-    else:
-        out[nx:] = x.values[nx]
-    return SamplePath(grid=TimeGrid(t_max=(nx + ny) * x.dt, dt=x.dt, n=nx + ny), values=out)
-
-
-def shift(x: SamplePath, u: float) -> SamplePath:
-    """(theta_u x)_s = x_{u+s}."""
-    k = x.grid.index(u)
-    n = x.grid.n - k
-    if n < 1:
-        raise ValueError("shift by the full horizon leaves no path")
-    return SamplePath(grid=TimeGrid(t_max=n * x.dt, dt=x.dt, n=n), values=x.values[k:])
-
-
-def translate(x: SamplePath, f: Integrand, T: float | None = None) -> SamplePath:
-    """x + h with h_t = int_0^t f (truncated at T when given)."""
-    h = f.primitive_on_grid(x.grid.times(), T=T)
-    return SamplePath(grid=x.grid, values=x.values + h)
-
-
 # -- random times -----------------------------------------------------------
 
 class LastExit(NamedTuple):
@@ -175,8 +139,3 @@ def hitting_index(values: np.ndarray, a: float) -> Optional[int]:
     if v[i - 1] == 0.0:
         return i - 1
     return i
-
-
-def hitting_time(x: SamplePath, a: float) -> Optional[float]:
-    i = hitting_index(x.values, a)
-    return None if i is None else i * x.dt

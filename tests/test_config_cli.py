@@ -160,6 +160,14 @@ def test_cli_sample_w_meta(tmp_path):
     assert len(meta) == 4
 
 
+def test_cli_sample_rejects_nonpositive_path_count(tmp_path, capsys):
+    for n in ("0", "-3"):
+        assert main(["--out", str(tmp_path), "sample", "bm", "--paths", n]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and n in err
+    assert list(tmp_path.iterdir()) == []              # no run directory made
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     p = tmp_path / "x.cfg"
     p.write_text("dt=-4\n")
@@ -189,6 +197,17 @@ def test_cli_report_without_summary_is_an_error(tmp_path, capsys):
     for p in (tmp_path / "missing", tmp_path):
         assert main(["report", str(p)]) == 1
         assert capsys.readouterr().err == f"no summary.json under {p}\n"
+
+
+def test_cli_report_rejects_a_malformed_summary(tmp_path, capsys):
+    # empty, not JSON, JSON without a rows list, rows that are not a list
+    for i, text in enumerate(("", "{not json", "[1, 2]", '{"config": {}}', '{"rows": 3}')):
+        f = tmp_path / f"r{i}" / "summary.json"
+        f.parent.mkdir()
+        f.write_text(text)
+        assert main(["report", str(f.parent)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{f}: ") and err.count("\n") == 1
 
 
 def test_cli_worker_count_reproduces_means(tmp_path):

@@ -30,7 +30,7 @@ def test_run_chunked_worker_invariance():
     assert a1.s == a2.s == a4.s          # bit-identical partials, fixed order
     assert a1.q == a2.q == a4.q
     assert a1.cens == a2.cens == a4.cens
-    r = a1.result(dt=1e-3)
+    r = a1.result()
     assert r.n_paths == n
     assert r.censor_rate == pytest.approx(a1.cens / n)
 
@@ -44,7 +44,7 @@ def test_run_chunked_rejects_empty():
 
 def test_constant_functional_zero_se():
     acc = run_chunked(1000, 0, lambda s, a, m: {"c": (np.ones(m), None)})["c"]
-    r = acc.result(dt=0.1)
+    r = acc.result()
     assert r.mean == 1.0
     assert r.std_error == 0.0
 
@@ -94,9 +94,9 @@ def test_path_pass_shapes():
     # path i draws from substream i
     for i, gen in enumerate(gens):
         assert gen.standard_normal() == substream(0, i).standard_normal()
-    assert accs["a"].result(0.1).mean == pytest.approx(4.5)
-    assert accs["a"].result(0.1).censor_rate == pytest.approx(0.5)
-    assert accs["b"].result(0.1).std_error == 0.0
+    assert accs["a"].result().mean == pytest.approx(4.5)
+    assert accs["a"].result().censor_rate == pytest.approx(0.5)
+    assert accs["b"].result().std_error == 0.0
 
 
 def test_identity_check_verdicts():
@@ -157,7 +157,7 @@ def test_path_pass_unweighted_constant():
         sample_bm(0.0, g, gen)
         return {"v": (1.0, False)}
 
-    r = run_chunked(500, 3, path_pass(make))["v"].result(0.01)
+    r = run_chunked(500, 3, path_pass(make))["v"].result()
     assert r.mean == 1.0 and r.std_error == 0.0 and r.n_paths == 500
     with pytest.raises(ValueError):
         run_chunked(0, 3, path_pass(make))
@@ -173,5 +173,5 @@ def test_path_pass_weighted_damped_exit():
         wp = sample_W(prop, g, gen)
         return {"v": (wp.weight * np.exp(-last_exit_time(wp.path).time), wp.censored)}
 
-    r = run_chunked(2500, 4, path_pass(make))["v"].result(0.01, budget=0.01)
+    r = run_chunked(2500, 4, path_pass(make))["v"].result(budget=0.01)
     assert abs(r.mean - 2 ** -0.5) <= 4 * r.std_error + 0.01

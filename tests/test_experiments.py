@@ -5,6 +5,7 @@ import pytest
 
 from penalab import experiments
 from penalab.config import RunConfig
+from penalab.estimator import derive_seed
 from penalab.experiments import BATTERY, REGISTRY, envelope_rows, run_experiment
 from penalab.samplers import WProposal
 
@@ -46,6 +47,22 @@ def test_w_oracle_matched_leg_draws_only_its_bridge(monkeypatch):
     assert len(matched) == len(full) == 1000
     assert all(wp.path.grid.n == g.index(wp.u) for g, wp in matched)
     assert all(wp.path.grid.n == g.n for g, wp in full)
+
+
+def test_cm_brownian_runs_one_leg_per_drift(monkeypatch):
+    # the oracle row reads the f=unit leg's paths instead of redrawing them
+    seeds = []
+    real = experiments.run_chunked
+
+    def spy(n_paths, seed, chunk_fn, n_workers=1):
+        seeds.append(seed)
+        return real(n_paths, seed, chunk_fn, n_workers)
+
+    monkeypatch.setattr(experiments, "run_chunked", spy)
+    rows = run_experiment("cm-brownian", TOY)
+    assert sorted(seeds) == sorted(derive_seed(TOY.master_seed, f"cm-{f}")
+                                   for f in ("f=0", "f=unit"))
+    assert "cm-brownian/oracle/sigmoid-shift" in [r.name for r in rows]
 
 
 def test_negative_controls_detect_violations():

@@ -6,11 +6,10 @@ from scipy import special
 
 from penalab.functionals import (abs_gauss_exp_moment, bessel_mean,
                                  exp_density, f_phi_integral, fk_log_weight,
-                                 gaussian_envelope, local_time_band,
-                                 local_time_signed, occupation_integral, phi_a,
-                                 wiener_integral)
+                                 gaussian_envelope, local_time_signed,
+                                 occupation_integral, phi_a, wiener_integral)
 from penalab.integrands import Integrand, MeasureSpec
-from penalab.paths import SamplePath, concat, make_grid, shift
+from penalab.paths import SamplePath, make_grid
 from penalab.samplers import sample_W, substream, WProposal
 
 RNG = np.random.default_rng(321)
@@ -28,26 +27,7 @@ def bm_matrix(n_paths, n_steps, dt, seed, x0=0.0):
 def test_local_time_away_from_level_is_zero():
     g = make_grid(1.0, 0.01)
     p = SamplePath(g, np.full(g.n + 1, 5.0))
-    assert local_time_band(p.values, p.dt) == 0.0
     assert local_time_signed(p.values) == 0.0
-
-
-def test_band_local_time_mean_on_bm():
-    dt = 1e-3
-    X = bm_matrix(4000, 1000, dt, seed=42)
-    lt = local_time_band(X, dt)
-    target = np.sqrt(2.0 / np.pi)     # E L^0_1 = E|B_1|
-    se = lt.std() / np.sqrt(len(lt))
-    assert abs(lt.mean() - target) <= 4 * se + 0.05 * target
-
-
-def test_band_eps_doubling_bias_bounded():
-    dt = 1e-3
-    X = bm_matrix(4000, 1000, dt, seed=43)
-    eps = np.sqrt(dt)
-    a = local_time_band(X, dt, eps=eps).mean()
-    b = local_time_band(X, dt, eps=2 * eps).mean()
-    assert abs(b - a) <= 3 * eps      # documented O(eps) movement
 
 
 def test_signed_local_time_mean_exact():
@@ -81,7 +61,7 @@ def fk_weight(V, x, t=None):
 def test_fk_weight_trivial_cases():
     g = make_grid(2.0, 0.01)
     p = SamplePath(g, np.zeros(g.n + 1))
-    assert fk_weight(MeasureSpec.empty(), p, 2.0) == 1.0
+    assert fk_weight(MeasureSpec(), p, 2.0) == 1.0
     far = SamplePath(g, np.full(g.n + 1, 5.0))
     assert fk_weight(MeasureSpec.point(0.0, 3.0), far, 2.0) == 1.0
     # box density along the zero path: occupation = t exactly
@@ -96,16 +76,14 @@ def test_fk_weight_multiplicative_on_concat():
     b -= np.linspace(0, 1, 101) * b[-1]
     b[-1] = 0.0
     y = np.concatenate([[0.0], np.cumsum(np.abs(gen.standard_normal(150))) * 0.02])
-    gx = make_grid(1.0, dt)
-    gy = make_grid(1.5, dt)
-    x_path = SamplePath(gx, b)
-    y_path = SamplePath(gy, y)
-    z = concat(x_path, y_path)
+    # a bridge on [0, 1] glued at its endpoint 0.0 to a path on [1, 2.5]
+    z = SamplePath(make_grid(2.5, dt), np.concatenate([b[:-1], y]))
+    tail = SamplePath(make_grid(1.5, dt), z.values[100:])
     for V in (MeasureSpec.point(0.0, 1.0), MeasureSpec.box(-0.5, 0.5, 2.0),
               MeasureSpec.points([(-0.3, 1.0), (0.2, 0.5)])):
         whole = fk_weight(V, z)
         left = fk_weight(V, z, 1.0)
-        right = fk_weight(V, shift(z, 1.0))
+        right = fk_weight(V, tail)
         assert whole == pytest.approx(left * right, rel=1e-12)
 
 
@@ -124,13 +102,13 @@ def test_wiener_integral_step_exact():
     g = make_grid(2.0, 0.25)
     vals = np.array([0.0, 1.0, -1.0, 2.0, 0.5, 0.5, 3.0, -2.0, 1.0])
     p = SamplePath(g, vals)
-    f = Integrand.indicator(0.0, 1.0)
+    f = Integrand.step([0.0, 1.0], [1.0])
     got = wiener_integral(f, p.values, p.dt)
     assert got == pytest.approx(vals[4] - vals[0], abs=1e-15)
     assert wiener_integral(Integrand.zero(), p.values, p.dt) == 0.0
     with pytest.raises(ValueError):
-        wiener_integral(Integrand.indicator(0.0, 3.0), p.values, p.dt)
-    off_grid = Integrand.indicator(0.0, 0.3)
+        wiener_integral(Integrand.step([0.0, 3.0], [1.0]), p.values, p.dt)
+    off_grid = Integrand.step([0.0, 0.3], [1.0])
     with pytest.raises(ValueError):
         wiener_integral(off_grid, p.values, p.dt)
 
@@ -138,7 +116,7 @@ def test_wiener_integral_step_exact():
 def test_wiener_integral_ito_isometry():
     dt = 1e-3
     X = bm_matrix(4000, 1500, dt, seed=46)
-    for f in (Integrand.indicator(0.0, 1.0),
+    for f in (Integrand.step([0.0, 1.0], [1.0]),
               Integrand.step([0.0, 0.5, 1.0, 1.5], [1.0, -0.5, 0.25]),
               Integrand.step([0.0, 1.0], [0.7])):
         w = wiener_integral(f, X, dt)
@@ -151,7 +129,7 @@ def test_wiener_integral_ito_isometry():
 def test_exp_density_unit_mean_and_multiplicativity():
     dt = 1e-3
     X = bm_matrix(4000, 1000, dt, seed=47)
-    f = Integrand.indicator(0.0, 1.0)
+    f = Integrand.step([0.0, 1.0], [1.0])
     e = exp_density(f, X, dt)
     se = e.std() / np.sqrt(len(e))
     assert abs(e.mean() - 1.0) <= 4 * se
@@ -188,7 +166,7 @@ def test_bessel_mean_values():
 
 
 def test_f_phi_integral_exact_vs_quadrature():
-    f = Integrand.indicator(0.0, 1.0)
+    f = Integrand.step([0.0, 1.0], [1.0])
     # a=0 closed form: sqrt(2/pi) * 2 sqrt(1)
     assert f_phi_integral(f, 0.0) == pytest.approx(2.0 * np.sqrt(2 / np.pi))
     from scipy.integrate import quad
@@ -198,7 +176,7 @@ def test_f_phi_integral_exact_vs_quadrature():
 
 
 def test_envelope_closed_form_and_trivial_tail():
-    f = Integrand.indicator(0.0, 1.0)
+    f = Integrand.step([0.0, 1.0], [1.0])
     assert gaussian_envelope(f, 2.0) == 0.0
     sig = f.tail_l2(0.5)
     b = np.sqrt(2 / np.pi) * f.f_tilde(0.5) + 0.5 * sig ** 2
@@ -222,7 +200,7 @@ def test_occupation_integral_matches_local_time_route():
     V = MeasureSpec.box(-1.0, 1.0, 1.0)
     occ = occupation_integral(X, dt, V).mean()
     ys = np.linspace(-1, 1, 41)
-    lt = np.mean([local_time_band(X, dt, level=y).mean() for y in ys])
+    lt = np.mean([local_time_signed(X, level=y).mean() for y in ys])
     assert occ == pytest.approx(lt * 2.0, rel=0.05)
 
 

@@ -1,13 +1,10 @@
-"""Path algebra: grids, concatenation, shift, translation, random times."""
+"""Grids, discretized paths, translation by a drift primitive, random times."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from penalab.integrands import Integrand
-from penalab.paths import (ConfigurationError, SamplePath, TimeGrid, concat,
-                           hitting_time, last_exit_time, make_grid, shift,
-                           translate)
+from penalab.paths import (ConfigurationError, SamplePath, TimeGrid, hitting_index,
+                           last_exit_time, make_grid)
 
 
 def path(vals, dt=0.5):
@@ -39,75 +36,24 @@ def test_sample_path_invariants():
         SamplePath(make_grid(1.0, 0.5), np.zeros(2))
 
 
-def test_concat_zero_paths():
-    x = path(np.zeros(3))          # [0, 1]
-    y = path(np.zeros(5))          # [0, 2]
-    z = concat(x, y)
-    assert z.grid.t_max == 3.0
-    assert np.all(z.values == 0.0)
-
-
-def test_concat_endpoint_mismatch_freezes():
-    x = path([0.0, 1.0])
-    y = path([0.0, 7.0, 3.0])
-    z = concat(x, y)
-    np.testing.assert_array_equal(z.values, [0.0, 1.0, 1.0, 1.0])
-
-
-def test_concat_matching_endpoints_glues():
-    x = path([0.0, 0.5])
-    y = path([0.5, 0.2])
-    z = concat(x, y)
-    np.testing.assert_array_equal(z.values, [0.0, 0.5, 0.2])
-    np.testing.assert_allclose(z.grid.times(), [0.0, 0.5, 1.0])
-
-
-def test_concat_requires_same_dt():
-    with pytest.raises(ValueError):
-        concat(path([0.0, 1.0], dt=0.5), path([1.0, 2.0], dt=0.25))
-
-
-def test_shift_identity_and_basic():
-    x = path([0.0, 1.0, 2.0])
-    np.testing.assert_array_equal(shift(x, 0.0).values, x.values)
-    s = shift(x, 0.5)
-    np.testing.assert_array_equal(s.values, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        shift(x, 1.0)              # full-horizon shift leaves nothing
-    with pytest.raises(ValueError):
-        shift(x, 2.0)
-
-
-def test_shift_of_concat_recovers_tail():
-    x = path([0.0, 0.25, -0.5])
-    y = path([-0.5, 1.0, 2.0, 0.0])
-    z = concat(x, y)
-    np.testing.assert_array_equal(z.values[:3], x.values)
-    np.testing.assert_array_equal(shift(z, x.grid.t_max).values, y.values)
-
-
 def test_translate_zero_and_indicator():
-    g = make_grid(2.0, 0.5)
-    x = SamplePath(g, np.zeros(g.n + 1))
-    f0 = Integrand.zero()
-    np.testing.assert_array_equal(translate(x, f0).values, x.values)
-    f = Integrand.indicator(0.0, 1.0)
-    np.testing.assert_allclose(translate(x, f).values, [0.0, 0.5, 1.0, 1.0, 1.0])
+    # a path X is translated to X + h, h = f.primitive_on_grid(times, T)
+    t = make_grid(2.0, 0.5).times()
+    np.testing.assert_array_equal(Integrand.zero().primitive_on_grid(t), np.zeros(5))
+    f = Integrand.step([0.0, 1.0], [1.0])
+    np.testing.assert_allclose(f.primitive_on_grid(t), [0.0, 0.5, 1.0, 1.0, 1.0])
     # truncation beyond the support changes nothing
-    np.testing.assert_array_equal(translate(x, f, T=1.0).values,
-                                  translate(x, f).values)
+    np.testing.assert_array_equal(f.primitive_on_grid(t, T=1.0), f.primitive_on_grid(t))
     # truncation inside the support freezes the drift
-    np.testing.assert_allclose(translate(x, f, T=0.5).values,
-                               [0.0, 0.5, 0.5, 0.5, 0.5])
+    np.testing.assert_allclose(f.primitive_on_grid(t, T=0.5), [0.0, 0.5, 0.5, 0.5, 0.5])
 
 
 def test_translate_roundtrip():
-    g = make_grid(2.0, 0.01)
-    rng = np.random.default_rng(5)
-    x = SamplePath(g, rng.standard_normal(g.n + 1))
+    t = make_grid(2.0, 0.01).times()
+    x = np.random.default_rng(5).standard_normal(len(t))
     f = Integrand.step([0.0, 0.4, 1.2], [1.3, -0.7])
-    back = translate(translate(x, f), f.scaled(-1.0))
-    np.testing.assert_allclose(back.values, x.values, rtol=0, atol=1e-9)
+    back = (x + f.primitive_on_grid(t)) + Integrand.step(f.breaks, -f.levels).primitive_on_grid(t)
+    np.testing.assert_allclose(back, x, rtol=0, atol=1e-9)
 
 
 def test_last_exit_cases():
@@ -135,51 +81,28 @@ def test_last_exit_cases():
 def test_hitting_cases():
     g = make_grid(1.0, 0.1)
     const = SamplePath(g, np.full(g.n + 1, 0.7))
-    assert hitting_time(const, 0.7) == 0.0
+    assert hitting_index(const.values, 0.7) * g.dt == 0.0
     lin = SamplePath(g, g.times())
-    assert hitting_time(lin, 0.5) == 0.5
+    assert hitting_index(lin.values, 0.5) * g.dt == 0.5
     down = SamplePath(g, 1.0 - g.times())
-    assert hitting_time(down, 0.0) == 1.0
-    assert hitting_time(lin, 5.0) is None
+    assert hitting_index(down.values, 0.0) * g.dt == 1.0
+    assert hitting_index(lin.values, 5.0) is None
     # levels between grid values resolve to the first point past them
-    assert hitting_time(lin, 0.37) == 0.4
+    assert hitting_index(lin.values, 0.37) * g.dt == 0.4
     steep = SamplePath(g, 1.0 - 2.0 * g.times())
-    assert hitting_time(steep, -0.5) == 0.8
-    assert hitting_time(down, -0.5) is None        # never reaches it
+    assert hitting_index(steep.values, -0.5) * g.dt == 0.8
+    assert hitting_index(down.values, -0.5) is None        # never reaches it
     # identically zero path hits 0 at once
-    assert hitting_time(SamplePath(g, np.zeros(g.n + 1)), 0.0) == 0.0
+    assert hitting_index(np.zeros(g.n + 1), 0.0) == 0
     # an exact interior visit is the hit, not the step after it
-    assert hitting_time(path([2.0, 1.0, 0.0, -1.0], dt=1.0), 0.0) == 2.0
-    assert hitting_time(path([2.0, 0.0, 0.0, 1.0], dt=1.0), 0.0) == 1.0
+    assert hitting_index(np.array([2.0, 1.0, 0.0, -1.0]), 0.0) == 2
+    assert hitting_index(np.array([2.0, 0.0, 0.0, 1.0]), 0.0) == 1
 
 
 def test_hitting_monotone_under_horizon_extension():
     rng = np.random.default_rng(11)
     vals = np.concatenate([[0.0], np.cumsum(rng.standard_normal(400)) * 0.1])
-    short = path(vals[:201], dt=0.01)
-    full = path(vals, dt=0.01)
     for a in (0.3, -0.2, 1.5):
-        t_short = hitting_time(short, a)
-        if t_short is not None:
-            assert hitting_time(full, a) == t_short
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-5, 5), min_size=2, max_size=20),
-       st.lists(st.floats(-5, 5), min_size=2, max_size=20))
-def test_concat_prefix_exact(xs, ys):
-    ys = [xs[-1]] + ys[1:]         # force matching endpoints
-    x, y = path(xs), path(ys)
-    z = concat(x, y)
-    assert np.array_equal(z.values[: len(xs) - 1], x.values[:-1])
-    assert np.array_equal(shift(z, x.grid.t_max).values, y.values)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 50), st.integers(0, 49))
-def test_shift_indexing(n, k):
-    k = min(k, n - 1)
-    vals = np.arange(n + 1, dtype=float)
-    x = path(vals, dt=0.25)
-    s = shift(x, k * 0.25)
-    assert np.array_equal(s.values, vals[k:])
+        k_short = hitting_index(vals[:201], a)
+        if k_short is not None:
+            assert hitting_index(vals, a) == k_short

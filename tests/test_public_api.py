@@ -38,6 +38,15 @@ def test_every_exported_name_resolves():
             assert hasattr(mod, name), (mod.__name__, name)
 
 
+def test_experiments_bind_the_layer_originals():
+    # the tracer and the benchmark's tests reach these through experiments
+    ex, est, smp = penalab.experiments, penalab.estimator, penalab.samplers
+    assert ex.run_chunked is est.run_chunked
+    assert ex.bm_chunk_pass is est.bm_chunk_pass
+    assert ex.substream is smp.substream
+    assert ex.sample_W is smp.sample_W
+
+
 def test_benchmark_tracer_installs_and_undoes():
     tr = _load_tracer()
     before = _bindings()

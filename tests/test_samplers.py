@@ -220,7 +220,7 @@ def test_wv_drift_and_zero_drift_sanity():
     from penalab.sturm import PhiSolution
     xs = np.linspace(-50, 50, 101)
     flat = PhiSolution(xs=xs, phi=np.ones(101), dphi=np.zeros(101),
-                       jumps=(), C_V=1.0, gamma_table=xs - 0.0, V=MeasureSpec.empty())
+                       jumps=(), C_V=1.0, gamma_table=xs - 0.0, V=MeasureSpec())
     d1 = sample_WV(0.0, flat, g, substream(10, 3))
     b1 = sample_bm(0.0, g, substream(10, 3))
     np.testing.assert_allclose(d1.path.values, b1.values, atol=1e-12)

@@ -78,7 +78,7 @@ def test_solver_rejections():
     with pytest.raises(SolverError):
         solve_phi(MeasureSpec.point(30.0, 1.0), L=50.0)    # support too wide
     with pytest.raises(SolverError):
-        solve_phi(MeasureSpec.empty(), L=50.0)             # V = 0 inconsistent
+        solve_phi(MeasureSpec(), L=50.0)             # V = 0 inconsistent
 
 
 def test_martingale_density_unit_start_and_mean():
