@@ -12,6 +12,9 @@ __all__ = ["RunConfig", "parse_config_file", "config_from_sources"]
 
 # ci level whose two-sided normal quantile is exactly 4 standard errors
 CI_FOUR_SE = 0.9999366575163338
+# the smallest n_paths that leaves every Monte Carlo leg (n_paths // 4 at the
+# least) at least one path
+MIN_PATHS = 4
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,11 @@ class RunConfig:
     def __post_init__(self):
         if min(self.dt, self.t_max, self.theta, self.theta_heavy, self.L, self.dx) <= 0:
             raise ValueError("all scale parameters must be positive")
-        if self.n_paths <= 0 or self.n_workers <= 0:
-            raise ValueError("n_paths and n_workers must be positive")
+        if self.n_paths < MIN_PATHS:
+            raise ValueError(f"n_paths must be at least {MIN_PATHS}, got {self.n_paths}:"
+                             " the smallest legs run n_paths // 4 paths")
+        if self.n_workers <= 0:
+            raise ValueError("n_workers must be positive")
         if not (0 <= self.master_seed < 2 ** 64):
             # it keys a Philox substream as one uint64 word
             raise ValueError("master_seed must lie in [0, 2**64)")

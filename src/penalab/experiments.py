@@ -500,10 +500,13 @@ def exp_translation_identity(cfg: RunConfig) -> list[IdentityCheck]:
         gammas = {}
 
         def gamma(V, key):
-            if (V, key) not in gammas:
-                gammas[V, key] = float(np.exp(-exits[key] * cfg.dt
-                                              + fk_log_weight(V, paths[key], cfg.dt)))
-            return gammas[V, key]
+            # keyed by id(V): a MeasureSpec key would hash all its fields
+            # on every lookup
+            memo = (id(V), key)
+            if memo not in gammas:
+                gammas[memo] = float(np.exp(-exits[key] * cfg.dt
+                                            + fk_log_weight(V, paths[key], cfg.dt)))
+            return gammas[memo]
 
         ee = {fkey: float(exp_density(f, X, cfg.dt)) for fkey, f in fs.items()}
         out = {}
@@ -715,9 +718,11 @@ def exp_nondeg_bound(cfg: RunConfig) -> list[IdentityCheck]:
     def fn(wp):
         X = wp.path.values
         out = {}
+        kvs = {}                     # K(V) once per distinct V on this draw
         for tag, f, V in combos:
-            kv = np.exp(fk_log_weight(V, X, cfg.dt))
-            out[tag] = wp.weight * kv * float(exp_density(f, X, cfg.dt))
+            if id(V) not in kvs:
+                kvs[id(V)] = np.exp(fk_log_weight(V, X, cfg.dt))
+            out[tag] = wp.weight * kvs[id(V)] * float(exp_density(f, X, cfg.dt))
         return out
 
     accs = _leg(cfg, "nondeg", max(2000, cfg.n_paths // 4), _w_pass(prop, grid, fn))
@@ -797,8 +802,9 @@ def exp_domination(cfg: RunConfig) -> list[IdentityCheck]:
         for ftag in ("f=0", "f=signed"):
             hT, hts = h_T[ftag]
             occ1 = occupation_integral(X + hT, cfg.dt, v1)
-            occ0 = occupation_integral(X[None, :] + hts, cfg.dt, v0)
-            occ0b = occupation_integral(X[None, :] + hts, cfg.dt, v0_bad)
+            Xh = X[None, :] + hts
+            occ0 = occupation_integral(Xh, cfg.dt, v0)
+            occ0b = occupation_integral(Xh, cfg.dt, v0_bad)
             out[f"{ftag}/violation"] = float(np.min(occ0 - occ1) < -1e-10)
             out[f"{ftag}/control-violation"] = float(np.min(occ0b - occ1) < -1e-10)
         return out
@@ -826,20 +832,19 @@ def exp_tail_transform(cfg: RunConfig) -> list[IdentityCheck]:
     for ftag, f in (("f=unit", F_UNIT), ("f=half", F_HALF), ("f=step3", F_STEP3)):
         for a in (0.25, 1.0, 4.0):
             ts = np.linspace(0.0, a, 4001)
-            vals = np.array([f.f_tilde(t) for t in ts])
-            lhs = float(np.trapezoid(vals, ts))
+            lhs = float(np.trapezoid(f.f_tilde(ts), ts))
             bound = 2.0 * np.sqrt(a) * f.l1
             rows.append(IdentityCheck.build(
                 f"tail-transform/{ftag}/a={a}", EstimatorResult.exact(lhs),
                 EstimatorResult.exact(bound, budget=1e-4 * max(1.0, bound)),
                 mode="upper"))
     ts = np.linspace(0.0, 1.0, 4001)
-    got = float(np.trapezoid([F_UNIT.f_tilde(t) for t in ts], ts))
+    got = float(np.trapezoid(F_UNIT.f_tilde(ts), ts))
     rows.append(IdentityCheck.build(
         "tail-transform/exact-4/3", EstimatorResult.exact(got),
         EstimatorResult.exact(4.0 / 3.0, budget=1e-4)))
     tgrid = np.geomspace(F_UNIT.support_end + 1e-9, 100.0, 200)
-    mn = float(min(F_UNIT.f_tilde(t) for t in tgrid))
+    mn = float(np.min(F_UNIT.f_tilde(tgrid)))
     rows.append(IdentityCheck.build(
         "tail-transform/liminf-zero", EstimatorResult.exact(mn), EstimatorResult.exact(0.0)))
     tt = np.geomspace(1e-3, 50.0, 200)

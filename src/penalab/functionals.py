@@ -12,6 +12,8 @@ around the level.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import special
 
@@ -31,10 +33,14 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 # -- local times -------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def _trapezoid_weights(m: int, dt: float) -> np.ndarray:
+    """Trapezoid weights of m nodes at step dt, built once per (m, dt) and
+    shared read-only."""
     w = np.full(m, dt)
     w[0] *= 0.5
     w[-1] *= 0.5
+    w.setflags(write=False)
     return w
 
 
@@ -48,7 +54,8 @@ def local_time_signed(values: np.ndarray, level: float = 0.0,
     v = np.asarray(values)
     if upto is not None:
         v = v[..., : upto + 1]
-    v = v - level
+    if level != 0.0:                 # x - 0.0 is x, bit for bit
+        v = v - level
     sgn = np.where(v[..., :-1] >= 0, 1.0, -1.0)
     corr = np.einsum("...i,...i->...", sgn, np.diff(v, axis=-1))
     return np.abs(v[..., -1]) - np.abs(v[..., 0]) - corr
@@ -83,8 +90,8 @@ def fk_log_weight(V: MeasureSpec, values: np.ndarray, dt: float,
 def wiener_integral(f: Integrand, values: np.ndarray, dt: float,
                     t: float | None = None) -> np.ndarray:
     """int_0^t f(s) dX_s, as the exact telescoping sum over the steps of f
-    (breakpoints snapped to the grid).  t = None means the full horizon,
-    which must contain the support of f.
+    (breakpoints snapped to the grid, see ``Integrand.grid_steps``).
+    t = None means the full horizon, which must contain the support of f.
     """
     v = np.asarray(values)
     n = v.shape[-1] - 1
@@ -92,16 +99,8 @@ def wiener_integral(f: Integrand, values: np.ndarray, dt: float,
     if t is None and f.support_end > n * dt * (1 + 1e-12):
         raise ValueError("support of f exceeds the path horizon")
     out = 0.0
-    for j, c in enumerate(f.levels):
-        if c == 0.0:
-            continue
-        a, b = f.breaks[j], f.breaks[j + 1]
-        ka, kb = int(round(a / dt)), int(round(b / dt))
-        if abs(ka * dt - a) > 1e-9 * max(1.0, a) or abs(kb * dt - b) > 1e-9 * max(1.0, b):
-            raise ValueError("step breakpoints must lie on the grid")
-        ka, kb = min(ka, k_end), min(kb, k_end)
-        if kb > ka:
-            out = out + c * (v[..., kb] - v[..., ka])
+    for c, ka, kb in f.grid_steps(dt, k_end):
+        out = out + c * (v[..., kb] - v[..., ka])
     return out + np.zeros(v.shape[:-1])
 
 

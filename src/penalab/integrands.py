@@ -32,9 +32,13 @@ class Integrand:
     levels: np.ndarray
 
     def __post_init__(self):
-        # l2sq_partial memo, per t; created here so that worker threads
-        # sharing an instance never race to install it
+        nz = np.nonzero(self.levels)[0]
+        object.__setattr__(self, "support_end",
+                           float(self.breaks[nz[-1] + 1]) if nz.size else 0.0)
+        # the l2sq_partial and grid_steps memos; created here so that worker
+        # threads sharing an instance never race to install them
         object.__setattr__(self, "_l2sq", {})
+        object.__setattr__(self, "_steps", {})
 
     # -- constructors ------------------------------------------------------
 
@@ -55,11 +59,6 @@ class Integrand:
     # -- basic queries ------------------------------------------------------
 
     @property
-    def support_end(self) -> float:
-        nz = np.nonzero(self.levels)[0]
-        return float(self.breaks[nz[-1] + 1]) if nz.size else 0.0
-
-    @property
     def is_zero(self) -> bool:
         return self.support_end == 0.0
 
@@ -70,6 +69,28 @@ class Integrand:
         ok = (idx >= 0) & (idx < len(self.levels))
         out = np.where(ok, self.levels[np.clip(idx, 0, max(len(self.levels) - 1, 0))], 0.0)
         return out if out.ndim else float(out)
+
+    def grid_steps(self, dt: float, k_end: int) -> tuple:
+        """((level, ka, kb), ...) for the nonzero pieces with their breakpoints
+        snapped to the grid of step dt and capped at index k_end, empty ones
+        dropped; memoised per (dt, k_end).  A breakpoint off the grid raises,
+        and such a request is never memoised."""
+        key = (dt, k_end)
+        steps = self._steps.get(key)
+        if steps is None:
+            found = []
+            for j, c in enumerate(self.levels):
+                if c == 0.0:
+                    continue
+                a, b = self.breaks[j], self.breaks[j + 1]
+                ka, kb = int(round(a / dt)), int(round(b / dt))
+                if abs(ka * dt - a) > 1e-9 * max(1.0, a) or abs(kb * dt - b) > 1e-9 * max(1.0, b):
+                    raise ValueError("step breakpoints must lie on the grid")
+                ka, kb = min(ka, k_end), min(kb, k_end)
+                if kb > ka:
+                    found.append((c, ka, kb))
+            steps = self._steps[key] = tuple(found)
+        return steps
 
     # -- integrals ----------------------------------------------------------
 
@@ -113,24 +134,22 @@ class Integrand:
         """sigma_t = sqrt(int_t^inf f^2)."""
         return float(np.sqrt(max(0.0, self.l2_sq - self.l2sq_partial(t))))
 
-    def f_tilde(self, t: float) -> float:
-        """int_t^inf |f(s)| (s - t)^{-1/2} ds, exact per piece.
+    def f_tilde(self, t):
+        """int_t^inf |f(s)| (s - t)^{-1/2} ds, exact per piece, at a time or
+        an array of times (a float for a scalar t).
 
         The square-root singularity is absorbed: on a piece [a,b) with level c
-        the contribution is |c| * 2 (sqrt(b-t) - sqrt(max(a,t)-t)).
+        the contribution is |c| * 2 (sqrt(b-t) - sqrt(max(a,t)-t)), which is
+        0 for a piece that ends by t; so f~ is 0 past the support.
         """
-        if t >= self.support_end:
-            return 0.0
-        tot = 0.0
+        t = np.asarray(t, dtype=float)
+        tot = np.zeros(t.shape)
         for k, c in enumerate(self.levels):
             if c == 0.0:
                 continue
             a, b = self.breaks[k], self.breaks[k + 1]
-            if b <= t:
-                continue
-            lo = max(a, t)
-            tot += abs(c) * 2.0 * (np.sqrt(b - t) - np.sqrt(lo - t))
-        return float(tot)
+            tot += abs(c) * 2.0 * (np.sqrt(np.maximum(b - t, 0.0)) - np.sqrt(np.maximum(a, t) - t))
+        return tot if tot.ndim else float(tot)
 
     def shifted(self, t0: float) -> "Integrand":
         """f(. + t0)."""
@@ -265,9 +284,9 @@ class MeasureSpec:
         if not self.pieces:
             return np.zeros_like(x)
         xp, fp, edge, hb = self._knot_table()
-        out = np.interp(x, xp, fp, left=0.0, right=0.0)
+        out = np.asarray(np.interp(x, xp, fp, left=0.0, right=0.0))
         if hb:
-            out = np.where(x == edge, hb, out)
+            np.putmask(out, x == edge, hb)
         return out
 
     @property

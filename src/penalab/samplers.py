@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
 from .paths import ConfigurationError, SamplePath, TimeGrid, WeightedPath
@@ -55,10 +56,28 @@ __all__ = [
 GAMMA_TAIL_LIMIT = 1e-6
 
 
+class _PhiloxKey(ISeedSequence):
+    """Seed sequence that hands Philox its key words as they are.
+
+    ``Philox(key=...)`` still builds a keyless ``SeedSequence()``, which
+    reads OS entropy only to discard it; seeding through this class skips
+    that and gives the same key, counter and stream."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, master_seed: int, stream_index: int):
+        self.words = (master_seed, stream_index)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is exactly 2 uint64 words")
+        return np.array(self.words, dtype=np.uint64)
+
+
 def substream(master_seed: int, stream_index: int) -> np.random.Generator:
-    """Philox generator keyed by (master_seed, stream_index)."""
-    key = np.array([master_seed, stream_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Philox generator keyed by (master_seed, stream_index); its state equals
+    that of ``np.random.Philox(key=[master_seed, stream_index])``."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(master_seed, stream_index)))
 
 
 # -- elementary samplers ------------------------------------------------------
@@ -201,7 +220,7 @@ def sample_W(proposal: WProposal, grid: TimeGrid,
     bes = _bessel3_values(0.0, m - ku, grid.dt, rng)
     v = np.empty(m + 1)
     v[: ku + 1] = bridge
-    v[ku:] = eps * bes
+    np.multiply(bes, eps, out=v[ku:])
     v[ku] = 0.0
     path = SamplePath(grid=grid if m == grid.n else grid.restricted(m), values=v)
     return WeightedPath(path=path, weight=w, u=ku * grid.dt, censored=censored)

@@ -168,6 +168,17 @@ def test_cli_sample_rejects_nonpositive_path_count(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []              # no run directory made
 
 
+def test_cli_rejects_too_few_paths_for_every_leg(tmp_path, capsys):
+    # the smallest legs run n_paths // 4 paths: below 4 one of them has none
+    for n in ("3", "1"):
+        rc = main(["--dt", "0.01", "--n", n, "--out", str(tmp_path), "verify", "tau0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "n_paths must be at least 4" in err
+    assert list(tmp_path.iterdir()) == []              # no run directory made
+    assert RunConfig(n_paths=4).n_paths == 4
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     p = tmp_path / "x.cfg"
     p.write_text("dt=-4\n")

@@ -113,6 +113,55 @@ def test_wiener_integral_step_exact():
         wiener_integral(off_grid, p.values, p.dt)
 
 
+def _wiener_loop(f, values, dt, t=None):
+    """The per-call loop wiener_integral once was: the bitwise oracle."""
+    v = np.asarray(values)
+    n = v.shape[-1] - 1
+    k_end = n if t is None else int(round(t / dt))
+    out = 0.0
+    for j, c in enumerate(f.levels):
+        if c == 0.0:
+            continue
+        a, b = f.breaks[j], f.breaks[j + 1]
+        ka, kb = int(round(a / dt)), int(round(b / dt))
+        if abs(ka * dt - a) > 1e-9 * max(1.0, a) or abs(kb * dt - b) > 1e-9 * max(1.0, b):
+            raise ValueError("step breakpoints must lie on the grid")
+        ka, kb = min(ka, k_end), min(kb, k_end)
+        if kb > ka:
+            out = out + c * (v[..., kb] - v[..., ka])
+    return out + np.zeros(v.shape[:-1])
+
+
+def test_wiener_integral_memo_matches_the_per_call_loop():
+    dt = 0.01
+    X = bm_matrix(5, 300, dt, seed=47)
+    fs = (Integrand.step([0.0, 1.0], [1.0]),
+          Integrand.step([0.0, 0.5, 1.0, 1.5], [1.0, -0.5, 0.25]),
+          Integrand.step([0.0, 1.0, 2.0], [0.6, -0.6]),
+          Integrand.step([0.0, 0.5, 1.0, 1.5], [1.0, -0.5, 0.25]).shifted(0.3),
+          Integrand.step([0.0, 0.5, 1.0, 2.0], [0.0, 2.0, 0.0]))
+    # None, inside a piece, on a break, beyond the support; each twice, so
+    # the second call is served from the memo
+    for f in fs:
+        for t in (None, 0.73, 0.5, 1.0, 1.5, 2.5, None, 0.73, 1.0, 2.5):
+            for vals in (X[0], X):
+                got = wiener_integral(f, vals, dt, t=t)
+                want = _wiener_loop(f, vals, dt, t=t)
+                assert np.shape(got) == np.shape(want)
+                np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                              np.asarray(want).view(np.uint64))
+
+
+def test_wiener_integral_off_grid_breakpoint_raises_on_every_call():
+    f = Integrand.step([0.0, 0.305, 1.0], [1.0, -1.0])
+    X = bm_matrix(2, 200, 0.01, seed=48)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="on the grid"):
+            wiener_integral(f, X, 0.01)
+        with pytest.raises(ValueError, match="on the grid"):
+            wiener_integral(f, X[0], 0.01, t=0.5)
+
+
 def test_wiener_integral_ito_isometry():
     dt = 1e-3
     X = bm_matrix(4000, 1500, dt, seed=46)

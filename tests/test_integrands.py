@@ -43,6 +43,47 @@ def test_f_tilde_exact_and_zero_tail():
     assert f.f_tilde(0.75) == pytest.approx(2.0 * np.sqrt(0.25))
 
 
+_F_TILDE_CASES = (
+    Integrand.step([0.0, 1.0], [1.0]),                                 # F_UNIT
+    Integrand.step([0.0, 0.5, 1.0, 1.5], [1.0, -0.5, 0.25]),           # F_STEP3
+    Integrand.step([0.0, 1.0, 2.0], [0.6, -0.6]),                      # F_SIGNED
+    Integrand.step([0.0, 0.5, 1.0, 1.5], [1.0, -0.5, 0.25]).shifted(0.3),
+    Integrand.step([0.0, 0.5, 1.0, 2.0], [0.0, 2.0, 0.0]),             # zero pieces
+)
+
+
+def _f_tilde_loop(f, t):
+    """The per-piece scalar loop f_tilde once was: the bitwise oracle."""
+    if t >= f.support_end:
+        return 0.0
+    tot = 0.0
+    for k, c in enumerate(f.levels):
+        if c == 0.0:
+            continue
+        a, b = f.breaks[k], f.breaks[k + 1]
+        if b <= t:
+            continue
+        tot += abs(c) * 2.0 * (np.sqrt(b - t) - np.sqrt(max(a, t) - t))
+    return float(tot)
+
+
+@pytest.mark.parametrize("f", _F_TILDE_CASES)
+def test_f_tilde_on_an_array_equals_its_scalar_calls(f):
+    # a grid of step 1/8 hits every break of these integrands, t = 0 and
+    # times beyond the support; the extra points sit just off the breaks
+    ts = np.concatenate([np.linspace(0.0, 3.0, 25), f.breaks, f.breaks + 1e-12,
+                         [f.support_end, f.support_end + 5.0]])
+    got = f.f_tilde(ts)
+    assert got.shape == ts.shape and got.dtype == np.float64
+    want = np.array([f.f_tilde(float(t)) for t in ts])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    oracle = np.array([_f_tilde_loop(f, float(t)) for t in ts])
+    np.testing.assert_array_equal(got.view(np.uint64), oracle.view(np.uint64))
+    assert type(f.f_tilde(0.25)) is float and type(f.f_tilde(np.float64(0.25))) is float
+    assert f.f_tilde(f.support_end) == 0.0 and np.all(got[ts >= f.support_end] == 0.0)
+    np.testing.assert_array_equal(f.f_tilde(ts.reshape(-1, 1))[:, 0], got)
+
+
 def test_shifted_step():
     f = Integrand.step([0.0, 0.5, 1.0], [1.0, -2.0])
     g = f.shifted(0.25)

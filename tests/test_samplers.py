@@ -6,7 +6,7 @@ from penalab.functionals import bessel_mean, exp_density
 from penalab.integrands import Integrand, MeasureSpec
 from penalab.paths import (ConfigurationError, last_exit_index, last_exit_time,
                            make_grid)
-from penalab.samplers import (WProposal, sample_bessel3, sample_bm,
+from penalab.samplers import (WProposal, _PhiloxKey, sample_bessel3, sample_bm,
                               sample_bridge, sample_symmetrized_bessel,
                               sample_W, sample_WV, substream)
 from penalab.sturm import solve_phi
@@ -19,6 +19,32 @@ def test_substream_determinism():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert substream(123, 7).standard_normal() == a[0] == b[0]
+
+
+@pytest.mark.parametrize("m, i", [(0, 0), (13, 5), (20070845, 37120),
+                                  (2 ** 64 - 1, 2 ** 64 - 1)])
+def test_substream_equals_keyed_philox(m, i):
+    got = substream(m, i)
+    want = np.random.Generator(np.random.Philox(key=[m, i]))
+    st_got, st_want = got.bit_generator.state, want.bit_generator.state
+    assert st_got.keys() == st_want.keys()
+    for k in st_want:
+        if k == "state":
+            for part in ("counter", "key"):
+                np.testing.assert_array_equal(st_got[k][part], st_want[k][part])
+        else:
+            np.testing.assert_array_equal(st_got[k], st_want[k])
+    np.testing.assert_array_equal(got.standard_normal(1000), want.standard_normal(1000))
+
+
+def test_philox_key_gives_only_two_uint64_words():
+    key = _PhiloxKey(13, 5)
+    np.testing.assert_array_equal(key.generate_state(2, np.uint64), [13, 5])
+    for n_words, dtype in ((2, np.uint32), (1, np.uint64), (4, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            key.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="2 uint64 words"):
+        key.generate_state(2)                   # the default dtype is uint32
 
 
 def test_bm_moments():
