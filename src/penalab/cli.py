@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, config_from_sources
 from .estimator import IdentityCheck
-from .experiments import BATTERY, REGISTRY, run_experiment
+from .experiments import BATTERY, REGISTRY, check_horizon, run_experiment
 from .integrands import DensityPiece, MeasureSpec
 from .paths import make_grid
 from .samplers import WProposal, sample_bessel3, sample_bm, sample_bridge, \
@@ -261,6 +261,10 @@ def main(argv: list[str] | None = None) -> int:
         V = _parse_vspec(args.vspec) if args.command == "phi" else None
         if args.command == "sample" and args.paths < 1:
             raise ValueError(f"--paths must be at least 1, got {args.paths}")
+        if args.command == "verify-all":
+            args.names = BATTERY
+        if args.command in ("verify", "verify-all"):
+            check_horizon(args.names, cfg)
     except (ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 1
@@ -268,10 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_phi(cfg, V)
     if args.command == "sample":
         return cmd_sample(cfg, args.kind, args.paths)
-    if args.command == "verify":
+    if args.command in ("verify", "verify-all"):
         return cmd_verify(cfg, list(dict.fromkeys(args.names)))
-    if args.command == "verify-all":
-        return cmd_verify(cfg, BATTERY)
     raise AssertionError("unreachable")
 
 

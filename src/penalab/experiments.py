@@ -33,9 +33,11 @@ from .paths import TimeGrid, hitting_index, last_exit_index, last_exit_time
 from .samplers import WProposal, _bridge_values, sample_W, substream
 from .sturm import atomic_phi_oracle, scale_gamma, solve_phi
 
-__all__ = ["REGISTRY", "BATTERY", "run_experiment", "envelope_rows"]
+__all__ = ["REGISTRY", "BATTERY", "run_experiment", "check_horizon", "envelope_rows"]
 
 Z_ONE_SIDED = 3.0     # one-sided guards use 3 standard errors
+# doubles (1 MiB) that one block of normals of the exit-density product side holds
+_PRODUCT_BLOCK = 1 << 17
 
 # -- shared integrand battery -------------------------------------------------
 
@@ -103,6 +105,34 @@ def _grid_h(f: Integrand, n: int, dt: float, T: float | None = None) -> np.ndarr
     return f.primitive_on_grid(np.arange(n + 1) * dt, T=T)
 
 
+# -- gamma proposals and the horizon they need --------------------------------------
+
+def _damped(cfg: RunConfig) -> WProposal:
+    """The gamma proposal for functionals damped by exp(-g)."""
+    return WProposal(kind="gamma", theta=cfg.theta, alpha=1.0)
+
+
+_MATCHED = WProposal.for_decay(2.0)     # w-oracle's matched-theta leg
+
+# the gamma proposals each experiment draws from; the heavy proposal takes
+# any horizon
+_GAMMA_PROPOSALS = {
+    "w-oracle": lambda cfg: (_damped(cfg), _MATCHED),
+    "exit-density": lambda cfg: (_damped(cfg),),
+    "tail-vanishing": lambda cfg: (_damped(cfg),),
+    "domination": lambda cfg: (_damped(cfg),),
+}
+
+
+def check_horizon(names, cfg: RunConfig) -> None:
+    """Raise ConfigurationError if t_max is too short for the tail of a gamma
+    proposal that one of the named experiments draws from, so a bad horizon
+    fails before any experiment runs."""
+    for name in names:
+        for prop in _GAMMA_PROPOSALS.get(name, lambda cfg: ())(cfg):
+            prop.validate(cfg.t_max)
+
+
 # -- Monte Carlo legs ------------------------------------------------------------
 
 def _leg(cfg: RunConfig, tag: str, n: int, chunk_fn) -> dict:
@@ -110,13 +140,13 @@ def _leg(cfg: RunConfig, tag: str, n: int, chunk_fn) -> dict:
     return run_chunked(n, derive_seed(cfg.master_seed, tag), chunk_fn, cfg.n_workers)
 
 
-def _w_pass(prop: WProposal, grid: TimeGrid, fn, need: int | None = None):
+def _w_pass(prop: WProposal, grid: TimeGrid, fn, **cut):
     """Chunk function over sigma-finite draws: fn(wp) -> {name: value} on
-    sample_W(prop, grid, gen, need=need), each value flagged with the draw's
-    censoring."""
+    sample_W(prop, grid, gen, **cut), each value flagged with the draw's
+    censoring; cut is need=k or reach=r, or nothing for full draws."""
 
     def make(gen):
-        wp = sample_W(prop, grid, gen, need=need)
+        wp = sample_W(prop, grid, gen, **cut)
         return {k: (v, wp.censored) for k, v in fn(wp).items()}
 
     return path_pass(make)
@@ -176,7 +206,7 @@ def exp_phi_atom(cfg: RunConfig) -> list[IdentityCheck]:
 def exp_w_oracle(cfg: RunConfig) -> list[IdentityCheck]:
     """Closed-form oracle for the weighted sampler: integrals of exp(-alpha g)."""
     alphas = (1.0, 2.0, 5.0)
-    prop = WProposal(kind="gamma", theta=cfg.theta, alpha=min(alphas))
+    prop = _damped(cfg)         # alpha = min(alphas)
     grid = cfg.grid()
 
     def fn(wp):
@@ -202,7 +232,7 @@ def exp_w_oracle(cfg: RunConfig) -> list[IdentityCheck]:
     # matched proposal theta = 1/alpha: the u-part of the weight cancels exactly
     # reads only g: leg 1 checks on full paths that the last exit is u
     accs2 = _leg(cfg, "w-oracle-matched", max(1000, cfg.n_paths // 10),
-                 _w_pass(WProposal.for_decay(2.0), grid,
+                 _w_pass(_MATCHED, grid,
                          lambda wp: {"v": wp.weight * np.exp(-2.0 * wp.u)}, need=0))
     rows.append(IdentityCheck.build(
         "w-oracle/alpha=2-matched-theta",
@@ -396,7 +426,10 @@ def exp_tau0(cfg: RunConfig) -> list[IdentityCheck]:
             out[f"x={x}"] = wp.weight * float(never)
         return out
 
-    accs = _leg(cfg, "tau0", cfg.n_paths // 2, _w_pass(prop, grid, fn))
+    # a level of the leg's own sign is never hit, one of the other sign is hit
+    # where |path| first reaches |x|: the draw stops at max |x|
+    accs = _leg(cfg, "tau0", cfg.n_paths // 2,
+                _w_pass(prop, grid, fn, reach=max(abs(x) for x in xs)))
     rows = []
     for x in xs:
         tail, _ = sq.quad(
@@ -557,12 +590,60 @@ def exp_translation_identity(cfg: RunConfig) -> list[IdentityCheck]:
     return rows
 
 
+def _row_blocks(gen, n_rows: int, row_shape: tuple, dt: float):
+    """Yield (rows, W) over the rows of gen.standard_normal((n_rows,
+    *row_shape)) scaled by sqrt(dt) and summed along axis 1, in blocks of
+    whole rows that continue the generator and hold at most _PRODUCT_BLOCK
+    doubles (one row, if a row is longer).  Each row gets the same
+    operations as in the whole matrix, so the same bits."""
+    per = max(1, _PRODUCT_BLOCK // int(np.prod(row_shape)))
+    for lo in range(0, n_rows, per):
+        rows = slice(lo, min(n_rows, lo + per))
+        W = gen.standard_normal((rows.stop - lo, *row_shape))
+        W *= np.sqrt(dt)
+        np.cumsum(W, axis=1, out=W)
+        yield rows, W
+
+
+def _exit_factors(cfg: RunConfig, f: Integrand, u: float, seed_tag: str, n_inner: int):
+    """(mean, se) of Pi^{(u)}[E_u] * R[E(f(.+u))] at one Simpson node of
+    the exit-density product side; the two factors draw from independent
+    substreams, and each keeps one number per row of its normals."""
+    ku = max(1, int(round(u / cfg.dt)))
+    u_snap = ku * cfg.dt
+    seed_n = derive_seed(cfg.master_seed, f"exit-rhs-{seed_tag}")
+    gen_pi = substream(seed_n, 0)
+    gen_r = substream(seed_n, 1)
+    # bridge factor: exact telescoping of the step integrand, so only the
+    # pinned bridge at kf is read (0, with no normals drawn, when the
+    # support covers u)
+    kf = min(int(round(f.support_end / cfg.dt)), ku)
+    b_kf = np.zeros(n_inner)
+    if kf < ku:
+        for rows, W in _row_blocks(gen_pi, n_inner, (ku,), cfg.dt):
+            b_kf[rows] = W[:, kf - 1] - (kf * cfg.dt / u_snap) * W[:, -1]
+    pib = np.exp(b_kf - 0.5 * f.l2sq_partial(u_snap))
+    pi_m, pi_se = pib.mean(), pib.std() / np.sqrt(n_inner)
+    r = f.support_end - u_snap
+    if r <= 0:
+        return pi_m, pi_se
+    kr = int(round(r / cfg.dt))
+    bes = np.empty(n_inner)
+    for rows, W3 in _row_blocks(gen_r, n_inner, (kr, 3), cfg.dt):
+        end = W3[:, -1]
+        bes[rows] = np.sqrt(np.einsum("nj,nj->n", end, end))
+    epsv = np.where(gen_r.random(n_inner) < 0.5, 1.0, -1.0)
+    rb = np.exp(epsv * bes - 0.5 * r)
+    r_m, r_se = rb.mean(), rb.std() / np.sqrt(n_inner)
+    return pi_m * r_m, abs(pi_m) * r_se + abs(r_m) * pi_se
+
+
 def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
     """Translated last-exit density against the bridge x Bessel product
     formula, binned over (0, 6], plus the pinned-bridge spot value."""
     f = F_UNIT
     grid = cfg.grid()
-    prop = WProposal(kind="gamma", theta=cfg.theta, alpha=1.0)
+    prop = _damped(cfg)
     edges = np.arange(0.0, 6.5, 0.5)
     nb = len(edges) - 1
     need = int(round(f.support_end / cfg.dt))
@@ -584,48 +665,15 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
     accs = _leg(cfg, "exit-lhs", cfg.n_paths // 2, _w_pass(prop, grid, fn, need=need))
 
     # product side: Simpson in s = sqrt(u) with Monte Carlo factors per node
-    def factors(u, seed_tag, n_inner):
-        """(mean, se) of Pi^{(u)}[E_u] * R[E(f(.+u))] at one node;
-        the two factors draw from independent substreams."""
-        ku = max(1, int(round(u / cfg.dt)))
-        u_snap = ku * cfg.dt
-        seed_n = derive_seed(cfg.master_seed, f"exit-rhs-{seed_tag}")
-        gen_pi = substream(seed_n, 0)
-        gen_r = substream(seed_n, 1)
-        # bridge factor: exact telescoping of the step integrand, so only
-        # the pinned bridge at kf is read (0 when the support covers u)
-        kf = min(need, ku)
-        W = gen_pi.standard_normal((n_inner, ku))
-        W *= np.sqrt(cfg.dt)
-        np.cumsum(W, axis=1, out=W)
-        if kf == ku:
-            b_kf = np.zeros(n_inner)
-        else:
-            b_kf = W[:, kf - 1] - (kf * cfg.dt / u_snap) * W[:, -1]
-        pib = np.exp(b_kf - 0.5 * f.l2sq_partial(u_snap))
-        pi_m, pi_se = pib.mean(), pib.std() / np.sqrt(n_inner)
-        r = f.support_end - u_snap
-        if r <= 0:
-            return pi_m, pi_se
-        kr = int(round(r / cfg.dt))
-        W3 = gen_r.standard_normal((n_inner, kr, 3))
-        W3 *= np.sqrt(cfg.dt)
-        np.cumsum(W3, axis=1, out=W3)
-        end = W3[:, -1]
-        bes = np.sqrt(np.einsum("nj,nj->n", end, end))
-        epsv = np.where(gen_r.random(n_inner) < 0.5, 1.0, -1.0)
-        rb = np.exp(epsv * bes - 0.5 * r)
-        r_m, r_se = rb.mean(), rb.std() / np.sqrt(n_inner)
-        return pi_m * r_m, abs(pi_m) * r_se + abs(r_m) * pi_se
-
     n_inner = max(500, cfg.n_paths // 40)
-    # uniform Simpson nodes in s = sqrt(u), 5 per bin; factors() snaps u=0
+    # uniform Simpson nodes in s = sqrt(u), 5 per bin; _exit_factors snaps u=0
     # to dt, where the pinned bridge factor is exp(-dt/2) ~ 1.  Every node
     # has its own seed tag, so the nodes run on the workers in any order.
     s_nodes = [np.linspace(np.sqrt(edges[k]), np.sqrt(edges[k + 1]), 5) for k in range(nb)]
     nodes = [(s, f"{k}-{j}") for k in range(nb) for j, s in enumerate(s_nodes[k])]
-    node_out = list(ordered_map(lambda node: factors(node[0] * node[0], node[1], n_inner),
-                                nodes, cfg.n_workers))
+    node_out = list(ordered_map(
+        lambda node: _exit_factors(cfg, f, node[0] * node[0], node[1], n_inner),
+        nodes, cfg.n_workers))
     rows = []
     for k in range(nb):
         lo, hi = edges[k], edges[k + 1]
@@ -717,11 +765,17 @@ def exp_nondeg_bound(cfg: RunConfig) -> list[IdentityCheck]:
 
     def fn(wp):
         X = wp.path.values
+        lt0 = local_time_signed(X)   # read by every V that is one atom at 0
         out = {}
         kvs = {}                     # K(V) once per distinct V on this draw
         for tag, f, V in combos:
             if id(V) not in kvs:
-                kvs[id(V)] = np.exp(fk_log_weight(V, X, cfg.dt))
+                if not V.has_density and [loc for loc, _ in V.atoms] == [0.0]:
+                    # the operations fk_log_weight makes for this V, on lt0
+                    log_k = 0.0 - V.atoms[0][1] * lt0 + 0.0
+                else:
+                    log_k = fk_log_weight(V, X, cfg.dt)
+                kvs[id(V)] = np.exp(log_k)
             out[tag] = wp.weight * kvs[id(V)] * float(exp_density(f, X, cfg.dt))
         return out
 
@@ -744,7 +798,7 @@ def exp_nondeg_bound(cfg: RunConfig) -> list[IdentityCheck]:
 def exp_tail_vanishing(cfg: RunConfig) -> list[IdentityCheck]:
     """Damped drift-density mass on {g > t} vanishes under exp(-t)/sqrt(2)."""
     grid = cfg.grid()
-    prop = WProposal(kind="gamma", theta=cfg.theta, alpha=1.0)
+    prop = _damped(cfg)
     ts = (0.0, 1.0, 2.0, 5.0)
     need = int(round(F_UNIT.support_end / cfg.dt))
 
@@ -784,7 +838,7 @@ def exp_domination(cfg: RunConfig) -> list[IdentityCheck]:
     plateau must violate."""
     grid = cfg.grid()
     n = grid.n
-    prop = WProposal(kind="gamma", theta=cfg.theta, alpha=1.0)
+    prop = _damped(cfg)
     v0, v1 = MeasureSpec.bump(), V_BOX
     v0_bad = MeasureSpec.bump(inner=0.5, outer=0.6)
     T = 1.0                      # the signed drift has |h|-tail 0.6 <= 1 past T

@@ -5,10 +5,11 @@ Each law has one row builder, ``_bm_values``, ``_bridge_values`` and
 ``_bessel3_values``, which fills one path's values from one generator.  The
 SamplePath samplers, the sigma-finite draw and the chunk passes of
 ``estimator`` (``bm_chunk_pass``, ``bessel_chunk_pass``) all build their rows
-with it, so a law is drawn by the same operations wherever it is used.  The
-one exception is the exit-density product side, whose bridge and Bessel
-matrices scale the normals before the cumsum; its bytes are pinned, and
-moving it onto the row builders would change their last bits.
+with it, so a law is drawn by the same operations wherever it is used;
+``_bessel3_reach``, the on-demand Bessel leg, makes those operations block
+by block.  The one exception is the exit-density product side, whose bridge
+and Bessel row blocks scale the normals before the cumsum; its bytes are
+pinned, and moving it onto the row builders would change their last bits.
 
 Reproducibility contract: one Philox substream per path index, keyed by
 (master_seed, stream_index).  Identical (master_seed, stream_index, config)
@@ -20,7 +21,10 @@ prefix of the full draw; it serves functionals that read the path only up
 to max(index(u), k), and its grid is the prefix's, not the horizon's.  With
 k = 0 the draw stops at the end of the bridge: w-oracle's matched-theta leg
 reads only g = u, while its first leg keeps full draws, on which it checks
-that the last exit equals u.
+that the last exit equals u.  A draw can also grow its Bessel leg on demand
+(``sample_W(..., reach=r)``), block by block, until |path| first reaches r:
+tau0 reads only whether path + x hits 0 for |x| <= 1, which that step
+settles.
 
 Two proposals are available for the bridge-length integral du / sqrt(2 pi u):
 
@@ -54,6 +58,8 @@ __all__ = [
 ]
 
 GAMMA_TAIL_LIMIT = 1e-6
+# rows of the first block of an on-demand Bessel leg (sample_W(..., reach=r))
+_REACH_BLOCK = 64
 
 
 class _PhiloxKey(ISeedSequence):
@@ -131,6 +137,36 @@ def _bessel3_values(a: float, n: int, dt: float, rng: np.random.Generator) -> np
     return out
 
 
+def _bessel3_reach(level: float, n: int, dt: float, rng: np.random.Generator) -> np.ndarray:
+    """``_bessel3_values(0.0, n, dt, rng)`` up to and including its first
+    value at or above ``level``, or all of it if no value gets there.
+
+    The rows are drawn in blocks (the first of ``_REACH_BLOCK`` rows, each
+    next one twice as long) that continue the generator; each block adds the
+    raw running sum of the last one to its first row before its own cumsum,
+    so every value equals the whole-leg one bit for bit.  The normals of the
+    block past the stop are drawn and left unread."""
+    parts = [np.zeros(1)]
+    carry = None
+    done, rows = 0, _REACH_BLOCK
+    while done < n:
+        w = rng.standard_normal((min(rows, n - done), 3))
+        if carry is not None:
+            w[0] += carry
+        np.cumsum(w, axis=0, out=w)
+        carry = w[-1].copy()
+        w *= np.sqrt(dt)
+        r = np.sqrt(np.einsum("ij,ij->i", w, w))
+        hit = np.flatnonzero(r >= level)
+        if hit.size:
+            parts.append(r[: hit[0] + 1])
+            break
+        parts.append(r)
+        done += len(r)
+        rows *= 2
+    return np.concatenate(parts)
+
+
 def sample_bessel3(a: float, grid: TimeGrid, rng: np.random.Generator) -> SamplePath:
     """3-d Bessel process from a >= 0, as the norm of 3-d Brownian motion
     started at (a, 0, 0) - exact in law at the grid points."""
@@ -197,8 +233,8 @@ class WProposal:
         return (u, w, False)
 
 
-def sample_W(proposal: WProposal, grid: TimeGrid,
-             rng: np.random.Generator, need: int | None = None) -> WeightedPath:
+def sample_W(proposal: WProposal, grid: TimeGrid, rng: np.random.Generator,
+             need: int | None = None, reach: float | None = None) -> WeightedPath:
     """One weighted draw: bridge of sampled length u glued to a symmetrized
     Bessel path, with the importance weight of the proposal.
 
@@ -210,14 +246,25 @@ def sample_W(proposal: WProposal, grid: TimeGrid,
     censor flag are a bit-exact prefix of the full draw from the same
     generator.  Such a draw serves only functionals that read indices up to
     m; ``path.grid.n`` and ``last_exit_time(path).censored`` describe the
-    prefix, not the horizon, and must not be read."""
+    prefix, not the horizon, and must not be read.
+
+    With ``reach`` (and no ``need``) the Bessel leg is drawn on demand and
+    stops at its first step where |path| >= reach, or at the horizon if it
+    never gets there; the result is again a bit-exact prefix of the full
+    draw, and the generator is left where the last block ended."""
+    if need is not None and reach is not None:
+        raise ValueError("need and reach are alternatives")
     proposal.validate(grid.t_max)
     u_raw, w, censored = proposal.draw(grid.t_max, rng)
     ku = min(max(int(round(u_raw / grid.dt)), 1), grid.n - 1)
     bridge = _bridge_values(ku, grid.dt, rng)
     eps = 1.0 if rng.random() < 0.5 else -1.0
-    m = grid.n if need is None else min(grid.n, max(ku, need))
-    bes = _bessel3_values(0.0, m - ku, grid.dt, rng)
+    if reach is None:
+        m = grid.n if need is None else min(grid.n, max(ku, need))
+        bes = _bessel3_values(0.0, m - ku, grid.dt, rng)
+    else:
+        bes = _bessel3_reach(reach, grid.n - ku, grid.dt, rng)
+        m = ku + len(bes) - 1
     v = np.empty(m + 1)
     v[: ku + 1] = bridge
     np.multiply(bes, eps, out=v[ku:])

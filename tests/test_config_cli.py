@@ -298,3 +298,24 @@ def test_run_dir_same_second_gets_distinct_directories(tmp_path, monkeypatch):
     c = cli._run_dir(cfg.replaced(out_dir=str(tmp_path / "race")))
     assert claimed == [tmp_path / "race" / "20070845-000000-seed20070845"]
     assert c.name == "20070845-000000-seed20070845-1"
+
+
+def test_short_horizon_for_a_gamma_proposal_fails_before_any_experiment(tmp_path, capsys):
+    # t_max=4 leaves the theta=1 proposal a tail of 4.7e-3, above the 1e-6
+    # limit: no experiment runs, no run directory is made
+    p = tmp_path / "run.cfg"
+    p.write_text("dt=0.01\nt_max=4\nn_paths=100\nmaster_seed=1\n")
+    out = tmp_path / "out"
+    for names in (["phi-atom", "w-oracle"], ["verify-all"]):
+        argv = ["--config", str(p), "--out", str(out)]
+        argv += names if names == ["verify-all"] else ["verify", *names]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: horizon t_max=4.0 too small"), err
+        assert not out.exists()
+    # experiments that draw no gamma paths keep any horizon
+    cfg = config_from_sources(str(p), {}, env={})
+    cli.check_horizon(["phi-atom", "tau0", "translation-identity", "nondeg-bound"], cfg)
+    cli.check_horizon(cli.BATTERY, cfg.replaced(t_max=13.0))
+    with pytest.raises(ValueError, match="t_max=10.0 too small"):
+        cli.check_horizon(["w-oracle"], cfg.replaced(t_max=10.0))

@@ -4,8 +4,8 @@ import pytest
 
 from penalab.functionals import bessel_mean, exp_density
 from penalab.integrands import Integrand, MeasureSpec
-from penalab.paths import (ConfigurationError, last_exit_index, last_exit_time,
-                           make_grid)
+from penalab.paths import (ConfigurationError, hitting_index, last_exit_index,
+                           last_exit_time, make_grid)
 from penalab.samplers import (WProposal, _PhiloxKey, sample_bessel3, sample_bm,
                               sample_bridge, sample_symmetrized_bessel,
                               sample_W, sample_WV, substream)
@@ -250,3 +250,58 @@ def test_wv_drift_and_zero_drift_sanity():
     d1 = sample_WV(0.0, flat, g, substream(10, 3))
     b1 = sample_bm(0.0, g, substream(10, 3))
     np.testing.assert_allclose(d1.path.values, b1.values, atol=1e-12)
+
+
+def _philox_words(gen):
+    st = gen.bit_generator.state
+    c = st["state"]["counter"]
+    return 4 * sum(int(c[k]) << (64 * k) for k in range(4)) - (4 - int(st["buffer_pos"]))
+
+
+def test_w_reach_draw_is_prefix_that_settles_every_level():
+    # tau0's draw: the Bessel leg stops at its first step at or above 1,
+    # which settles whether path + x ever hits 0 for every |x| <= 1
+    xs = (-1.0, -0.5, 0.5, 1.0)
+    grid = make_grid(40.0, 0.01)
+    seen = set()
+    for prop in (WProposal(kind="heavy", theta=10.0), WProposal(kind="gamma", theta=1.0)):
+        for i in range(120):
+            g_full, g_cut = substream(43, i), substream(43, i)
+            full = sample_W(prop, grid, g_full)
+            cut = sample_W(prop, grid, g_cut, reach=1.0)
+            m = cut.path.grid.n
+            np.testing.assert_array_equal(cut.path.values, full.path.values[: m + 1])
+            assert (cut.weight, cut.u, cut.censored) == (full.weight, full.u, full.censored)
+            for x in xs:
+                assert (hitting_index(cut.path.values + x, 0.0) is None) == \
+                    (hitting_index(full.path.values + x, 0.0) is None)
+            assert _philox_words(g_cut) <= _philox_words(g_full)
+            ku = grid.index(cut.u)
+            leg = np.abs(cut.path.values[ku + 1:])
+            assert m == grid.n or (leg[-1] >= 1.0 and np.all(leg[:-1] < 1.0))
+            seen.add((prop.kind, np.sign(full.path.values[-1]), m < grid.n))
+    assert {(k, s, True) for k in ("heavy", "gamma") for s in (-1.0, 1.0)} <= seen
+
+
+def test_w_reach_falls_back_to_the_full_path():
+    # on a 0.2-long horizon the Bessel leg rarely reaches 1; at a level of
+    # 100 it never does, and the draw is the full one, normals and all
+    prop = WProposal(kind="heavy", theta=10.0)
+    for grid, level in ((make_grid(0.2, 0.01), 1.0), (make_grid(40.0, 0.01), 100.0)):
+        fell_back = 0
+        for i in range(40):
+            g_full, g_cut = substream(47, i), substream(47, i)
+            full = sample_W(prop, grid, g_full)
+            cut = sample_W(prop, grid, g_cut, reach=level)
+            if np.max(np.abs(full.path.values)) < level:
+                fell_back += 1
+                assert cut.path.grid == grid
+                np.testing.assert_array_equal(cut.path.values, full.path.values)
+                assert _philox_words(g_cut) == _philox_words(g_full)
+        assert fell_back >= 20
+
+
+def test_w_need_and_reach_are_alternatives():
+    with pytest.raises(ValueError, match="alternatives"):
+        sample_W(WProposal(kind="heavy"), make_grid(1.0, 0.01), substream(1, 0),
+                 need=5, reach=1.0)
