@@ -18,10 +18,10 @@ import numpy as np
 
 from .config import RunConfig, config_from_sources
 from .estimator import IdentityCheck
-from .experiments import BATTERY, REGISTRY, check_horizon, run_experiment
+from .experiments import BATTERY, REGISTRY, _damped, check_horizon, run_experiment
 from .integrands import DensityPiece, MeasureSpec
 from .paths import make_grid
-from .samplers import WProposal, sample_bessel3, sample_bm, sample_bridge, \
+from .samplers import sample_bessel3, sample_bm, sample_bridge, \
     sample_symmetrized_bessel, sample_W, substream
 from .sturm import scale_gamma, solve_phi
 
@@ -163,8 +163,7 @@ def cmd_sample(cfg: RunConfig, kind: str, n_sample: int) -> int:
         elif kind == "symmetrized-bessel":
             p = sample_symmetrized_bessel(grid, gen)
         elif kind == "w":
-            wp = sample_W(WProposal(kind="gamma", theta=cfg.theta, alpha=1.0),
-                          cfg.grid(), gen)
+            wp = sample_W(_damped(cfg), cfg.grid(), gen)
             p = wp.path
             meta.append((i, wp.weight, wp.u, int(wp.censored)))
         else:
@@ -261,6 +260,8 @@ def main(argv: list[str] | None = None) -> int:
         V = _parse_vspec(args.vspec) if args.command == "phi" else None
         if args.command == "sample" and args.paths < 1:
             raise ValueError(f"--paths must be at least 1, got {args.paths}")
+        if args.command == "sample" and args.kind == "w":
+            _damped(cfg).validate(cfg.t_max)
         if args.command == "verify-all":
             args.names = BATTERY
         if args.command in ("verify", "verify-all"):

@@ -765,17 +765,11 @@ def exp_nondeg_bound(cfg: RunConfig) -> list[IdentityCheck]:
 
     def fn(wp):
         X = wp.path.values
-        lt0 = local_time_signed(X)   # read by every V that is one atom at 0
         out = {}
         kvs = {}                     # K(V) once per distinct V on this draw
         for tag, f, V in combos:
             if id(V) not in kvs:
-                if not V.has_density and [loc for loc, _ in V.atoms] == [0.0]:
-                    # the operations fk_log_weight makes for this V, on lt0
-                    log_k = 0.0 - V.atoms[0][1] * lt0 + 0.0
-                else:
-                    log_k = fk_log_weight(V, X, cfg.dt)
-                kvs[id(V)] = np.exp(log_k)
+                kvs[id(V)] = np.exp(fk_log_weight(V, X, cfg.dt))
             out[tag] = wp.weight * kvs[id(V)] * float(exp_density(f, X, cfg.dt))
         return out
 

@@ -5,11 +5,10 @@ Each law has one row builder, ``_bm_values``, ``_bridge_values`` and
 ``_bessel3_values``, which fills one path's values from one generator.  The
 SamplePath samplers, the sigma-finite draw and the chunk passes of
 ``estimator`` (``bm_chunk_pass``, ``bessel_chunk_pass``) all build their rows
-with it, so a law is drawn by the same operations wherever it is used;
-``_bessel3_reach``, the on-demand Bessel leg, makes those operations block
-by block.  The one exception is the exit-density product side, whose bridge
-and Bessel row blocks scale the normals before the cumsum; its bytes are
-pinned, and moving it onto the row builders would change their last bits.
+with it, so a law is drawn by the same operations wherever it is used.  The
+one exception is the exit-density product side, whose bridge and Bessel row
+blocks scale the normals before the cumsum; its bytes are pinned, and moving
+it onto the row builders would change their last bits.
 
 Reproducibility contract: one Philox substream per path index, keyed by
 (master_seed, stream_index).  Identical (master_seed, stream_index, config)
@@ -58,7 +57,7 @@ __all__ = [
 ]
 
 GAMMA_TAIL_LIMIT = 1e-6
-# rows of the first block of an on-demand Bessel leg (sample_W(..., reach=r))
+# rows of the first block of a Bessel leg drawn on demand (a finite reach)
 _REACH_BLOCK = 64
 
 
@@ -126,29 +125,20 @@ def sample_bridge(u: float, dt: float, rng: np.random.Generator) -> SamplePath:
     return SamplePath(grid=grid, values=_bridge_values(ku, dt, rng))
 
 
-def _bessel3_values(a: float, n: int, dt: float, rng: np.random.Generator) -> np.ndarray:
-    w = rng.standard_normal((n, 3))
-    np.cumsum(w, axis=0, out=w)
-    w *= np.sqrt(dt)
-    w[:, 0] += a
+def _bessel3_values(a: float, n: int, dt: float, rng: np.random.Generator,
+                    reach: float | None = None) -> np.ndarray:
+    """Norm of a 3-d Brownian motion from (a, 0, 0) at steps 0..n; with a
+    ``reach``, only up to and including its first value at or above it (all
+    n + 1 values if none gets there).
+
+    A reach draws the rows in blocks (the first of ``_REACH_BLOCK`` rows,
+    each next one twice as long) that continue the generator; each block
+    adds the raw running sum of the last one to its first row before its own
+    cumsum, so every value equals the one-block value bit for bit.  The
+    normals of the block past the stop are drawn and left unread."""
     out = np.empty(n + 1)
     out[0] = a
-    np.sqrt(np.einsum("ij,ij->i", w, w), out=out[1:])
-    return out
-
-
-def _bessel3_reach(level: float, n: int, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """``_bessel3_values(0.0, n, dt, rng)`` up to and including its first
-    value at or above ``level``, or all of it if no value gets there.
-
-    The rows are drawn in blocks (the first of ``_REACH_BLOCK`` rows, each
-    next one twice as long) that continue the generator; each block adds the
-    raw running sum of the last one to its first row before its own cumsum,
-    so every value equals the whole-leg one bit for bit.  The normals of the
-    block past the stop are drawn and left unread."""
-    parts = [np.zeros(1)]
-    carry = None
-    done, rows = 0, _REACH_BLOCK
+    done, rows, carry = 0, (n if reach is None else _REACH_BLOCK), None
     while done < n:
         w = rng.standard_normal((min(rows, n - done), 3))
         if carry is not None:
@@ -156,15 +146,16 @@ def _bessel3_reach(level: float, n: int, dt: float, rng: np.random.Generator) ->
         np.cumsum(w, axis=0, out=w)
         carry = w[-1].copy()
         w *= np.sqrt(dt)
-        r = np.sqrt(np.einsum("ij,ij->i", w, w))
-        hit = np.flatnonzero(r >= level)
-        if hit.size:
-            parts.append(r[: hit[0] + 1])
-            break
-        parts.append(r)
-        done += len(r)
+        w[:, 0] += a
+        r = out[done + 1: done + 1 + len(w)]
+        np.sqrt(np.einsum("ij,ij->i", w, w), out=r)
+        if reach is not None:
+            hit = np.flatnonzero(r >= reach)
+            if hit.size:
+                return out[: done + hit[0] + 2]
+        done += len(w)
         rows *= 2
-    return np.concatenate(parts)
+    return out
 
 
 def sample_bessel3(a: float, grid: TimeGrid, rng: np.random.Generator) -> SamplePath:
@@ -248,23 +239,18 @@ def sample_W(proposal: WProposal, grid: TimeGrid, rng: np.random.Generator,
     m; ``path.grid.n`` and ``last_exit_time(path).censored`` describe the
     prefix, not the horizon, and must not be read.
 
-    With ``reach`` (and no ``need``) the Bessel leg is drawn on demand and
-    stops at its first step where |path| >= reach, or at the horizon if it
+    With ``reach`` the Bessel leg is drawn on demand and stops at its first
+    step where |path| >= reach, or where it would stop without one if it
     never gets there; the result is again a bit-exact prefix of the full
     draw, and the generator is left where the last block ended."""
-    if need is not None and reach is not None:
-        raise ValueError("need and reach are alternatives")
     proposal.validate(grid.t_max)
     u_raw, w, censored = proposal.draw(grid.t_max, rng)
     ku = min(max(int(round(u_raw / grid.dt)), 1), grid.n - 1)
     bridge = _bridge_values(ku, grid.dt, rng)
     eps = 1.0 if rng.random() < 0.5 else -1.0
-    if reach is None:
-        m = grid.n if need is None else min(grid.n, max(ku, need))
-        bes = _bessel3_values(0.0, m - ku, grid.dt, rng)
-    else:
-        bes = _bessel3_reach(reach, grid.n - ku, grid.dt, rng)
-        m = ku + len(bes) - 1
+    m = grid.n if need is None else min(grid.n, max(ku, need))
+    bes = _bessel3_values(0.0, m - ku, grid.dt, rng, reach)
+    m = ku + len(bes) - 1
     v = np.empty(m + 1)
     v[: ku + 1] = bridge
     np.multiply(bes, eps, out=v[ku:])

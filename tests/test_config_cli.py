@@ -306,14 +306,14 @@ def test_short_horizon_for_a_gamma_proposal_fails_before_any_experiment(tmp_path
     p = tmp_path / "run.cfg"
     p.write_text("dt=0.01\nt_max=4\nn_paths=100\nmaster_seed=1\n")
     out = tmp_path / "out"
-    for names in (["phi-atom", "w-oracle"], ["verify-all"]):
-        argv = ["--config", str(p), "--out", str(out)]
-        argv += names if names == ["verify-all"] else ["verify", *names]
-        assert main(argv) == 1
+    for command in (["verify", "phi-atom", "w-oracle"], ["verify-all"],
+                    ["sample", "w", "--paths", "2"]):
+        assert main(["--config", str(p), "--out", str(out), *command]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: horizon t_max=4.0 too small"), err
         assert not out.exists()
-    # experiments that draw no gamma paths keep any horizon
+    # commands that draw no gamma paths keep any horizon
+    assert main(["--config", str(p), "--out", str(out), "sample", "bm", "--paths", "2"]) == 0
     cfg = config_from_sources(str(p), {}, env={})
     cli.check_horizon(["phi-atom", "tau0", "translation-identity", "nondeg-bound"], cfg)
     cli.check_horizon(cli.BATTERY, cfg.replaced(t_max=13.0))

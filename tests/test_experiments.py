@@ -207,27 +207,6 @@ def test_tau0_draws_stop_on_demand(monkeypatch):
     assert sum(cut for *_, cut in calls) > 0.9 * len(calls)
 
 
-def test_nondeg_bound_reads_one_local_time_per_draw(monkeypatch):
-    # V=d0 and V=2d0 are one atom at 0 each: they share the draw's local time
-    levels, fk_vs = [], []
-    real_lt, real_fk = experiments.local_time_signed, experiments.fk_log_weight
-
-    def spy_lt(values, level=0.0, upto=None):
-        levels.append(level)
-        return real_lt(values, level=level, upto=upto)
-
-    def spy_fk(V, values, dt, upto=None):
-        fk_vs.append(V)
-        return real_fk(V, values, dt, upto=upto)
-
-    monkeypatch.setattr(experiments, "local_time_signed", spy_lt)
-    monkeypatch.setattr(experiments, "fk_log_weight", spy_fk)
-    run_experiment("nondeg-bound", TOY)
-    n = max(2000, TOY.n_paths // 4)
-    assert levels == [0.0] * n
-    assert fk_vs == [experiments.V_BOX] * n
-
-
 def test_declared_gamma_proposals_are_the_drawn_ones(monkeypatch):
     # check_horizon reads the declaration, so it must name every gamma
     # proposal an experiment draws from, and only those

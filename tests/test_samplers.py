@@ -299,9 +299,3 @@ def test_w_reach_falls_back_to_the_full_path():
                 np.testing.assert_array_equal(cut.path.values, full.path.values)
                 assert _philox_words(g_cut) == _philox_words(g_full)
         assert fell_back >= 20
-
-
-def test_w_need_and_reach_are_alternatives():
-    with pytest.raises(ValueError, match="alternatives"):
-        sample_W(WProposal(kind="heavy"), make_grid(1.0, 0.01), substream(1, 0),
-                 need=5, reach=1.0)
