@@ -23,7 +23,7 @@ from .integrands import DensityPiece, MeasureSpec
 from .paths import make_grid
 from .samplers import sample_bessel3, sample_bm, sample_bridge, \
     sample_symmetrized_bessel, sample_W, substream
-from .sturm import scale_gamma, solve_phi
+from .sturm import PhiSolution, SolverError, scale_gamma, solve_phi
 
 CSV_HEADER = ("experiment,lhs_mean,lhs_se,rhs_mean,rhs_se,tolerance,"
               "censor_rate,n_paths,dt,seed,verdict")
@@ -136,8 +136,7 @@ def _parse_vspec(spec: str) -> MeasureSpec:
     return MeasureSpec(atoms=tuple(atoms), pieces=tuple(pieces))
 
 
-def cmd_phi(cfg: RunConfig, V: MeasureSpec) -> int:
-    sol = solve_phi(V, L=cfg.L, dx=cfg.dx)
+def cmd_phi(sol: PhiSolution) -> int:
     print(f"# C_V = {_fmt(sol.C_V)}")
     print("x,phi,dphi,gamma")
     xs = np.arange(-5.0, 5.0 + 1e-12, 0.5)
@@ -200,6 +199,14 @@ def cmd_verify(cfg: RunConfig, names: list[str]) -> int:
     return exit_code(c.verdict for c in rows)
 
 
+def _report_line(run: str, r: dict) -> tuple[str, str]:
+    """(printed line, verdict) of one summary row; KeyError or TypeError
+    when the row is not a dict with the printed fields, ValueError when a
+    number is not one."""
+    return (f"{run:28s} {r['experiment']:48s} {r['verdict']:12s} "
+            f"{r['lhs_mean']:.6g} {r['rhs_mean']:.6g} {r['tolerance']:.3g}", r["verdict"])
+
+
 def cmd_report(paths: list[str]) -> int:
     rows = []
     for p in paths:
@@ -210,17 +217,19 @@ def cmd_report(paths: list[str]) -> int:
         for f in found:
             try:
                 got = json.loads(f.read_text(encoding="utf-8"))["rows"]
+                lines = ([_report_line(f.parent.name, r) for r in got]
+                         if isinstance(got, list) else None)
             except (ValueError, KeyError, TypeError):
-                got = None
-            if not isinstance(got, list):
-                print(f"{f}: not a summary (empty, invalid JSON or no rows list)", file=sys.stderr)
+                lines = None
+            if lines is None:
+                print(f"{f}: not a summary (empty, invalid JSON, no rows list"
+                      " or a row without a printed field)", file=sys.stderr)
                 return 1
-            rows.extend((str(f.parent.name), r) for r in got)
+            rows.extend(lines)
     print(f"{'run':28s} {'experiment':48s} {'verdict':12s} lhs rhs tol")
-    for run, r in rows:
-        print(f"{run:28s} {r['experiment']:48s} {r['verdict']:12s} "
-              f"{r['lhs_mean']:.6g} {r['rhs_mean']:.6g} {r['tolerance']:.3g}")
-    return exit_code(r["verdict"] for _, r in rows)
+    for line, _ in rows:
+        print(line)
+    return exit_code(verdict for _, verdict in rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
                            "n_workers")}
     try:
         cfg = config_from_sources(args.config, overrides)
-        V = _parse_vspec(args.vspec) if args.command == "phi" else None
+        sol = solve_phi(_parse_vspec(args.vspec)) if args.command == "phi" else None
         if args.command == "sample" and args.paths < 1:
             raise ValueError(f"--paths must be at least 1, got {args.paths}")
         if args.command == "sample" and args.kind == "w":
@@ -266,11 +275,11 @@ def main(argv: list[str] | None = None) -> int:
             args.names = BATTERY
         if args.command in ("verify", "verify-all"):
             check_horizon(args.names, cfg)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, SolverError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 1
     if args.command == "phi":
-        return cmd_phi(cfg, V)
+        return cmd_phi(sol)
     if args.command == "sample":
         return cmd_sample(cfg, args.kind, args.paths)
     if args.command in ("verify", "verify-all"):

@@ -4,14 +4,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from scipy.special import ndtri
-
 from .paths import TimeGrid, make_grid
 
 __all__ = ["RunConfig", "parse_config_file", "config_from_sources"]
 
-# ci level whose two-sided normal quantile is exactly 4 standard errors
-CI_FOUR_SE = 0.9999366575163338
 # the smallest n_paths that leaves every Monte Carlo leg (n_paths // 4 at the
 # least) at least one path
 MIN_PATHS = 4
@@ -24,15 +20,11 @@ class RunConfig:
     n_paths: int = 100_000
     master_seed: int = 20070845
     theta: float = 1.0          # gamma proposal scale for exp(-g)-damped functionals
-    theta_heavy: float = 10.0   # heavy proposal scale for polynomially decaying ones
-    L: float = 50.0             # Sturm-Liouville half-width
-    dx: float = 1e-3            # Sturm-Liouville step
-    ci_level: float = CI_FOUR_SE
     n_workers: int = 1
     out_dir: str = "penalab-out"
 
     def __post_init__(self):
-        if min(self.dt, self.t_max, self.theta, self.theta_heavy, self.L, self.dx) <= 0:
+        if min(self.dt, self.t_max, self.theta) <= 0:
             raise ValueError("all scale parameters must be positive")
         if self.n_paths < MIN_PATHS:
             raise ValueError(f"n_paths must be at least {MIN_PATHS}, got {self.n_paths}:"
@@ -42,15 +34,7 @@ class RunConfig:
         if not (0 <= self.master_seed < 2 ** 64):
             # it keys a Philox substream as one uint64 word
             raise ValueError("master_seed must lie in [0, 2**64)")
-        if not (0.5 < self.ci_level < 1.0):
-            raise ValueError("ci_level must lie in (0.5, 1)")
-        ratio = self.t_max / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ValueError("t_max must be an integer multiple of dt")
-
-    @property
-    def z_mult(self) -> float:
-        return float(ndtri(0.5 + 0.5 * self.ci_level))
+        self.grid()                 # t_max must be an integer multiple of dt
 
     def grid(self) -> TimeGrid:
         """The full-horizon time grid, t_max / dt steps."""

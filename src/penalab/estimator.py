@@ -18,10 +18,12 @@ from .samplers import _bessel3_values, _bm_values, substream
 __all__ = [
     "EstimatorResult", "IdentityCheck", "derive_seed",
     "run_chunked", "ordered_map", "bm_chunk_pass", "bessel_chunk_pass",
-    "path_pass", "CHUNK",
+    "path_pass", "CHUNK", "Z_TWO_SIDED", "Z_ONE_SIDED",
 ]
 
 CHUNK = 256                      # fixed: part of the reproducibility contract
+Z_TWO_SIDED = 4.0                # two-sided rows allow 4 standard errors
+Z_ONE_SIDED = 3.0                # one-sided guards allow 3
 CENSOR_LIMIT = 0.05
 
 
@@ -38,7 +40,7 @@ class EstimatorResult:
     n_paths: int
     censor_rate: float = 0.0
     discretization_budget: float = 0.0
-    z_mult: float = 4.0
+    z_mult: float = Z_TWO_SIDED
 
     @staticmethod
     def exact(value: float, budget: float = 0.0) -> "EstimatorResult":
@@ -112,7 +114,7 @@ class _Accum:
             self.cens += int(np.count_nonzero(censored))
         self.n += v.size
 
-    def result(self, budget: float = 0.0, z_mult: float = 4.0) -> EstimatorResult:
+    def result(self, budget: float = 0.0, z_mult: float = Z_TWO_SIDED) -> EstimatorResult:
         if self.n == 0:
             raise ValueError("estimator ran over zero paths")
         mean = self.s / self.n

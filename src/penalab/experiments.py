@@ -22,20 +22,19 @@ from scipy import integrate as sq
 
 
 from .config import RunConfig
-from .estimator import (EstimatorResult, IdentityCheck, bessel_chunk_pass,
-                        bm_chunk_pass, derive_seed, ordered_map, path_pass,
-                        run_chunked)
+from .estimator import (Z_ONE_SIDED, Z_TWO_SIDED, EstimatorResult, IdentityCheck,
+                        bessel_chunk_pass, bm_chunk_pass, derive_seed, ordered_map,
+                        path_pass, run_chunked)
 from .functionals import (abs_gauss_exp_moment, exp_density, f_phi_integral,
                           fk_log_weight, gaussian_envelope, local_time_signed,
                           occupation_integral, phi_a, wiener_integral)
 from .integrands import Integrand, MeasureSpec
 from .paths import TimeGrid, hitting_index, last_exit_index, last_exit_time
 from .samplers import WProposal, _bridge_values, sample_W, substream
-from .sturm import atomic_phi_oracle, scale_gamma, solve_phi
+from .sturm import BOX_L, DX, atomic_phi_oracle, scale_gamma, solve_phi
 
 __all__ = ["REGISTRY", "BATTERY", "run_experiment", "check_horizon", "envelope_rows"]
 
-Z_ONE_SIDED = 3.0     # one-sided guards use 3 standard errors
 # doubles (1 MiB) that one block of normals of the exit-density product side holds
 _PRODUCT_BLOCK = 1 << 17
 
@@ -62,7 +61,7 @@ def _m0(u):
 
 # -- normalizer phi and tolerance budgets --------------------------------------
 
-def _phi_hat(V: MeasureSpec, cfg: RunConfig):
+def _phi_hat(V: MeasureSpec):
     """(phi callable, C_V, source note) for the tail normalizer.
 
     Atoms at the origin admit the closed form 1/mass + |y| (the exact
@@ -70,7 +69,7 @@ def _phi_hat(V: MeasureSpec, cfg: RunConfig):
     if not V.has_density and all(x == 0.0 for x, _ in V.atoms):
         lam = V.total_mass()
         return (lambda y: 1.0 / lam + np.abs(y)), 1.0 / lam, "closed-form"
-    sol = solve_phi(V, L=cfg.L, dx=cfg.dx)
+    sol = solve_phi(V)
     return sol.phi_at, sol.C_V, "solver"
 
 
@@ -113,6 +112,8 @@ def _damped(cfg: RunConfig) -> WProposal:
 
 
 _MATCHED = WProposal.for_decay(2.0)     # w-oracle's matched-theta leg
+# functionals with polynomial decay in g: tau0, translation-identity, nondeg-bound
+_HEAVY = WProposal(kind="heavy", theta=10.0)
 
 # the gamma proposals each experiment draws from; the heavy proposal takes
 # any horizon
@@ -123,14 +124,28 @@ _GAMMA_PROPOSALS = {
     "domination": lambda cfg: (_damped(cfg),),
 }
 
+# the nonzero drifts whose Wiener integrals each experiment takes; their
+# breakpoints must lie on the grid of step dt
+_DRIFTS = {
+    "cm-brownian": (F_UNIT,),
+    "translation-identity": (F_HALF, F_STEP3, F_SIGNED),
+    "exit-density": (F_UNIT,),
+    "convex-moments": (F_UNIT, F_SIGNED),
+    "nondeg-bound": (F_HALF, F_STEP3),
+    "tail-vanishing": (F_UNIT,),
+}
+
 
 def check_horizon(names, cfg: RunConfig) -> None:
-    """Raise ConfigurationError if t_max is too short for the tail of a gamma
-    proposal that one of the named experiments draws from, so a bad horizon
+    """Raise ValueError if t_max is too short for the tail of a gamma
+    proposal that one of the named experiments draws from, or if dt puts a
+    breakpoint of one of its drifts off the grid, so a bad horizon or step
     fails before any experiment runs."""
     for name in names:
         for prop in _GAMMA_PROPOSALS.get(name, lambda cfg: ())(cfg):
             prop.validate(cfg.t_max)
+        for f in _DRIFTS.get(name, ()):
+            f.grid_steps(cfg.dt, cfg.grid().n)
 
 
 # -- Monte Carlo legs ------------------------------------------------------------
@@ -160,7 +175,7 @@ def exp_phi_atom(cfg: RunConfig) -> list[IdentityCheck]:
     piecewise-linear assembly for purely atomic measures."""
     rows = []
     for lam in (0.5, 1.0, 2.0):
-        sol = solve_phi(MeasureSpec.point(0.0, lam), L=cfg.L, dx=cfg.dx)
+        sol = solve_phi(MeasureSpec.point(0.0, lam))
         err = float(np.max(np.abs(sol.phi - (1.0 / lam + np.abs(sol.xs)))))
         rows.append(IdentityCheck.build(
             f"phi-atom/maxerr/lam={lam}", EstimatorResult.exact(err),
@@ -170,9 +185,9 @@ def exp_phi_atom(cfg: RunConfig) -> list[IdentityCheck]:
             EstimatorResult.exact(1.0 / lam + 1.0, budget=1e-6)))
     for name, atoms in (("two", [(-1.0, 1.0), (1.0, 1.0)]),
                         ("three", [(-1.5, 0.5), (0.0, 1.0), (2.0, 2.0)])):
-        sol = solve_phi(MeasureSpec.points(atoms), L=cfg.L, dx=cfg.dx)
+        sol = solve_phi(MeasureSpec.points(atoms))
         oracle = atomic_phi_oracle(atoms)
-        xs = np.linspace(-cfg.L / 2, cfg.L / 2, 2001)
+        xs = np.linspace(-BOX_L / 2, BOX_L / 2, 2001)
         err = float(np.max(np.abs(sol.phi_at(xs) - oracle(xs))))
         rows.append(IdentityCheck.build(
             f"phi-atom/oracle/{name}-atom", EstimatorResult.exact(err),
@@ -181,7 +196,7 @@ def exp_phi_atom(cfg: RunConfig) -> list[IdentityCheck]:
             f"phi-atom/oracle-CV/{name}-atom", EstimatorResult.exact(sol.C_V),
             EstimatorResult.exact(oracle.C_V, budget=1e-7)))
     # scale function: gamma_{delta_0}(1) = 1/(1+1) = 0.5; gamma odd for symmetric V
-    sol = solve_phi(V_D0, L=cfg.L, dx=cfg.dx)
+    sol = solve_phi(V_D0)
     rows.append(IdentityCheck.build(
         "phi-atom/gamma(1)", EstimatorResult.exact(float(scale_gamma(sol, 1.0))),
         EstimatorResult.exact(0.5, budget=1e-6)))
@@ -190,16 +205,18 @@ def exp_phi_atom(cfg: RunConfig) -> list[IdentityCheck]:
     rows.append(IdentityCheck.build(
         "phi-atom/gamma-odd", EstimatorResult.exact(odd),
         EstimatorResult.exact(0.0, budget=1e-9)))
-    # interior residual of the box-density solve: second difference vs 2 v phi
-    solb = solve_phi(V_BOX, L=cfg.L, dx=cfg.dx)
+    # interior residual of the box-density solve: second difference vs 2 v phi;
+    # divided by the step DX itself, since xs[1] - xs[0] differs from it in
+    # the last bits
+    solb = solve_phi(V_BOX)
     inner = slice(1, len(solb.xs) - 1)
-    second = (solb.phi[2:] - 2.0 * solb.phi[1:-1] + solb.phi[:-2]) / cfg.dx ** 2
+    second = (solb.phi[2:] - 2.0 * solb.phi[1:-1] + solb.phi[:-2]) / DX ** 2
     target = 2.0 * V_BOX.density(solb.xs[inner]) * solb.phi[inner]
-    off_edge = np.abs(np.abs(solb.xs[inner]) - 1.0) > 2 * cfg.dx
+    off_edge = np.abs(np.abs(solb.xs[inner]) - 1.0) > 2 * DX
     err = float(np.max(np.abs((second - target)[off_edge])))
     rows.append(IdentityCheck.build(
         "phi-atom/box-residual", EstimatorResult.exact(err),
-        EstimatorResult.exact(0.0, budget=max(1e-3, 100 * cfg.dx ** 2))))
+        EstimatorResult.exact(0.0, budget=max(1e-3, 100 * DX ** 2))))
     return rows
 
 
@@ -218,12 +235,12 @@ def exp_w_oracle(cfg: RunConfig) -> list[IdentityCheck]:
     accs = _leg(cfg, "w-oracle", max(1000, cfg.n_paths // 2), _w_pass(prop, grid, fn))
     rows = []
     for a in alphas:
-        lhs = accs[f"a{a}"].result(budget=a * cfg.dt, z_mult=cfg.z_mult)
+        lhs = accs[f"a{a}"].result(budget=a * cfg.dt)
         rhs_val, _ = sq.quad(lambda u: _m0(u) * np.exp(-a * u), 0, np.inf, limit=200)
         rows.append(IdentityCheck.build(
             f"w-oracle/alpha={a}", lhs, EstimatorResult.exact(rhs_val),
             note="closed form 1/sqrt(2 alpha)"))
-    mism = accs["g-mismatch"].result(z_mult=cfg.z_mult)
+    mism = accs["g-mismatch"].result()
     rows.append(IdentityCheck.build(
         "w-oracle/last-exit-equals-u",
         EstimatorResult.exact(mism.mean * mism.n_paths), EstimatorResult.exact(0.0),
@@ -236,7 +253,7 @@ def exp_w_oracle(cfg: RunConfig) -> list[IdentityCheck]:
                          lambda wp: {"v": wp.weight * np.exp(-2.0 * wp.u)}, need=0))
     rows.append(IdentityCheck.build(
         "w-oracle/alpha=2-matched-theta",
-        accs2["v"].result(budget=2 * cfg.dt, z_mult=cfg.z_mult),
+        accs2["v"].result(budget=2 * cfg.dt),
         EstimatorResult.exact(0.5), note="theta = 1/alpha, zero-variance in u"))
     return rows
 
@@ -260,7 +277,7 @@ def exp_penal_limit(cfg: RunConfig) -> list[IdentityCheck]:
 
         accs = _leg(cfg, f"penal-{tag}", cfg.n_paths,
                     bm_chunk_pass(x, n_steps, cfg.dt, eval_matrix))
-        lhs = accs["v"].result(budget=0.0, z_mult=cfg.z_mult)
+        lhs = accs["v"].result(budget=0.0)
         rows.append(IdentityCheck.build(
             f"penal-limit/{tag}", lhs, EstimatorResult.exact(target, budget=0.05 * target),
             note="finite-t limit deficit and local-time bias inside the 5% budget"))
@@ -288,7 +305,7 @@ def exp_kernel_identity(cfg: RunConfig) -> list[IdentityCheck]:
     Vs = (("V=d0", V_D0), ("V=2d0", V_2D0), ("V=box", V_BOX))
     ts = (1.0, 4.0)
     rows = []
-    phis = {tag: _phi_hat(V, cfg) for tag, V in Vs}
+    phis = {tag: _phi_hat(V) for tag, V in Vs}
     for x in (0.0, 1.0):
         def eval_lhs(X):
             out = {}
@@ -320,8 +337,8 @@ def exp_kernel_identity(cfg: RunConfig) -> list[IdentityCheck]:
                           bm_chunk_pass(x, kt, cfg.dt, eval_rhs))
             for tag, V in Vs:
                 for zn in ("Z=1", "Z=sigmoid", "Z=indicator"):
-                    lhs = accs_l[f"{tag}/t={t}/{zn}"].result(z_mult=cfg.z_mult)
-                    rhs = accs_r[f"{tag}/{zn}"].result(z_mult=cfg.z_mult)
+                    lhs = accs_l[f"{tag}/t={t}/{zn}"].result()
+                    rhs = accs_r[f"{tag}/{zn}"].result()
                     budget = _fk_budget(V, cfg.dt, lhs.mean) + _fk_budget(V, cfg.dt, rhs.mean)
                     rows.append(IdentityCheck.build(
                         f"kernel-identity/{tag}/x={x}/t={t}/{zn}", lhs, rhs, extra_budget=budget,
@@ -338,7 +355,7 @@ def exp_markov(cfg: RunConfig) -> list[IdentityCheck]:
     kT = int(round(T / cfg.dt))
     kU = int(round(U / cfg.dt))
     Vs = (("V=d0", V_D0), ("V=2d0", V_2D0), ("V=box", V_BOX))
-    phis = {tag: _phi_hat(V, cfg) for tag, V in Vs}
+    phis = {tag: _phi_hat(V) for tag, V in Vs}
     rows = []
 
     def eval_lhs(X):
@@ -390,19 +407,19 @@ def exp_markov(cfg: RunConfig) -> list[IdentityCheck]:
 
     for tag, V in Vs:
         for zn in ("Z=1", "Z=sigmoid", "Z=indicator"):
-            lhs = accs_l[f"{tag}/fixed/{zn}"].result(z_mult=cfg.z_mult)
-            rhs = accs_r[f"{tag}/{zn}"].result(z_mult=cfg.z_mult)
+            lhs = accs_l[f"{tag}/fixed/{zn}"].result()
+            rhs = accs_r[f"{tag}/{zn}"].result()
             budget = _fk_budget(V, cfg.dt, lhs.mean)
             rows.append(IdentityCheck.build(
                 f"markov/{tag}/T={T}/{zn}", lhs, rhs, extra_budget=budget,
                 note=f"sigma-finite side via exact reduction at U={U}"))
-        lhs_s = accs_l[f"{tag}/stopping"].result(z_mult=cfg.z_mult)
-        rhs_s = accs_l[f"{tag}/stopping-rhs-aux"].result(z_mult=cfg.z_mult)
+        lhs_s = accs_l[f"{tag}/stopping"].result()
+        rhs_s = accs_l[f"{tag}/stopping-rhs-aux"].result()
         rows.append(IdentityCheck.build(
             f"markov/{tag}/stopping-tau1^T", lhs_s, rhs_s,
             extra_budget=_fk_budget(V, cfg.dt, lhs_s.mean),
             note="tau = first visit to 1, capped at T; common paths"))
-    lhs = accs_r["V=d0/Z=1"].result(z_mult=cfg.z_mult)
+    lhs = accs_r["V=d0/Z=1"].result()
     rows.append(IdentityCheck.build(
         "markov/closed-form/W[1+|X_1|]", lhs,
         EstimatorResult.exact(1.0 + np.sqrt(2.0 / np.pi)),
@@ -416,7 +433,6 @@ def exp_tau0(cfg: RunConfig) -> list[IdentityCheck]:
     Body sampled with the truncated heavy proposal; the mass beyond the
     horizon is the classical bridge-reflection integral, added exactly."""
     grid = cfg.grid()
-    prop = WProposal(kind="heavy", theta=cfg.theta_heavy)
     xs = (-1.0, -0.5, 0.5, 1.0)
 
     def fn(wp):
@@ -429,15 +445,15 @@ def exp_tau0(cfg: RunConfig) -> list[IdentityCheck]:
     # a level of the leg's own sign is never hit, one of the other sign is hit
     # where |path| first reaches |x|: the draw stops at max |x|
     accs = _leg(cfg, "tau0", cfg.n_paths // 2,
-                _w_pass(prop, grid, fn, reach=max(abs(x) for x in xs)))
+                _w_pass(_HEAVY, grid, fn, reach=max(abs(x) for x in xs)))
     rows = []
     for x in xs:
         tail, _ = sq.quad(
             lambda u: _m0(u) * 0.5 * (1.0 - np.exp(-2.0 * x * x / u)),
             cfg.t_max, np.inf, limit=400)
-        body = accs[f"x={x}"].result(z_mult=cfg.z_mult)
+        body = accs[f"x={x}"].result()
         est = EstimatorResult(mean=body.mean + tail, std_error=body.std_error,
-                              n_paths=body.n_paths, censor_rate=body.censor_rate, z_mult=cfg.z_mult)
+                              n_paths=body.n_paths, censor_rate=body.censor_rate)
         # barrier-shift bias of grid crossing detection + undetected late
         # Bessel crossings (mean ball-exit time bound)
         budget = 0.65 * np.sqrt(cfg.dt) + 0.5 * (x * x / 3.0) * _m0(max(1.0, cfg.t_max - 4 * x * x))
@@ -484,7 +500,7 @@ def exp_cm_brownian(cfg: RunConfig) -> list[IdentityCheck]:
         accs = _leg(cfg, f"cm-{ftag}", cfg.n_paths,
                     bm_chunk_pass(0.0, n_steps, cfg.dt, eval_matrix))
         for k in ("F=exp(-g^T)", "F=sigmoid(X1)", "F=exp(-L1)"):
-            d = accs[f"{k}/diff"].result(z_mult=cfg.z_mult)
+            d = accs[f"{k}/diff"].result()
             budget = 0.0 if ftag == "f=0" else 0.3 * np.sqrt(cfg.dt) * (k == "F=exp(-L1)")
             rows.append(IdentityCheck.build(
                 f"cm-brownian/{ftag}/{k}", d, EstimatorResult.exact(0.0),
@@ -495,7 +511,7 @@ def exp_cm_brownian(cfg: RunConfig) -> list[IdentityCheck]:
     target = float(np.dot(ws, _sigmoid(np.sqrt(2.0) * zs + 1.0)) / np.sqrt(np.pi))
     rows.append(IdentityCheck.build(
         "cm-brownian/oracle/sigmoid-shift",
-        accs["oracle"].result(z_mult=cfg.z_mult), EstimatorResult.exact(target),
+        accs["oracle"].result(), EstimatorResult.exact(target),
         note="Gaussian mean-shift quadrature"))
     return rows
 
@@ -515,7 +531,6 @@ def exp_translation_identity(cfg: RunConfig) -> list[IdentityCheck]:
     random numbers, one weighted pass; plus the truncated-drift form."""
     grid = cfg.grid()
     n = grid.n
-    prop = WProposal(kind="heavy", theta=cfg.theta_heavy)
     k1 = int(round(1.0 / cfg.dt))
     fs = {ftag.split("/")[0]: f for ftag, f, _, _ in _MAIN_COMBOS}
     hs = {fkey: _grid_h(f, n, cfg.dt) for fkey, f in fs.items()}
@@ -563,10 +578,10 @@ def exp_translation_identity(cfg: RunConfig) -> list[IdentityCheck]:
         return out
 
     accs = _leg(cfg, "translation-identity", max(2000, cfg.n_paths // 4),
-                _w_pass(prop, grid, fn))
+                _w_pass(_HEAVY, grid, fn))
     rows = []
     for ftag, f, V, gk in _MAIN_COMBOS:
-        d = accs[f"{ftag}/diff"].result(z_mult=cfg.z_mult)
+        d = accs[f"{ftag}/diff"].result()
         scale = accs[f"{ftag}/lhs"].result().mean
         budget = (_translation_tail_budget(f, cfg.t_max)
                   + _fk_budget(V, cfg.dt, scale))
@@ -574,12 +589,12 @@ def exp_translation_identity(cfg: RunConfig) -> list[IdentityCheck]:
             f"translation-identity/{ftag}", d, EstimatorResult.exact(0.0),
             extra_budget=budget,
             note="paired difference; horizon tail budget from reflection bound"))
-    dc = accs["control/diff"].result(z_mult=cfg.z_mult)
+    dc = accs["control/diff"].result()
     rows.append(IdentityCheck.build(
         "translation-identity/control-f=0", dc, EstimatorResult.exact(0.0),
         note="must be exactly zero (pairing machinery)"))
     for T in trunc_ts:
-        d = accs[f"trunc/T={T}/diff"].result(z_mult=cfg.z_mult)
+        d = accs[f"trunc/T={T}/diff"].result()
         budget = (_translation_tail_budget(F_HALF, cfg.t_max)
                   + _fk_budget(V_D0, cfg.dt, accs["f=half/V=d0/G=1/lhs"].result().mean))
         note = "truncated drift inside support" if T < F_HALF.support_end \
@@ -687,9 +702,9 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
         rhs_val = float(np.dot(ww, vals))
         rhs_se = float(np.dot(ww, ses))
         rhs = EstimatorResult(mean=rhs_val, std_error=rhs_se, n_paths=5 * n_inner,
-                              z_mult=cfg.z_mult, discretization_budget=0.02 * rhs_val)
+                              discretization_budget=0.02 * rhs_val)
         # u-rounding affects bin membership only at the edges; one-step allowance
-        lhs = accs[f"bin{k}"].result(budget=cfg.dt * (1.0 if lo > 0 else 2.0), z_mult=cfg.z_mult)
+        lhs = accs[f"bin{k}"].result(budget=cfg.dt * (1.0 if lo > 0 else 2.0))
         rows.append(IdentityCheck.build(
             f"exit-density/bin({lo},{hi}]", lhs, rhs,
             note="translated-law bin mass, drift-density weighted form"))
@@ -703,14 +718,14 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
     spot = np.exp(ends - 0.5)
     lhs = EstimatorResult(mean=float(spot.mean()),
                           std_error=float(spot.std() / np.sqrt(len(spot))),
-                          n_paths=len(spot), z_mult=cfg.z_mult)
+                          n_paths=len(spot))
     rows.append(IdentityCheck.build(
         "exit-density/pinned-spot-u=1", lhs, EstimatorResult.exact(np.exp(-0.5)),
         note="bridge pins the integral: zero variance"))
     for k in (0, 4):
         lo, hi = edges[k], edges[k + 1]
         want, _ = sq.quad(lambda u: _m0(u) * np.exp(-u), lo, hi, limit=200)
-        got = accs[f"f0bin{k}"].result(budget=cfg.dt, z_mult=cfg.z_mult)
+        got = accs[f"f0bin{k}"].result(budget=cfg.dt)
         rows.append(IdentityCheck.build(
             f"exit-density/f=0-bin({lo},{hi}]", got, EstimatorResult.exact(want),
             note="undrifted law: incomplete-Gamma quadrature"))
@@ -759,7 +774,6 @@ def exp_nondeg_bound(cfg: RunConfig) -> list[IdentityCheck]:
     """Weighted mass of K(V) E(f) against the normalizer bound, one-sided.
     Horizon truncation only lowers the nonnegative left side."""
     grid = cfg.grid()
-    prop = WProposal(kind="heavy", theta=cfg.theta_heavy)
     combos = (("f=0/V=d0", F_ZERO, V_D0), ("f=half/V=d0", F_HALF, V_D0),
               ("f=half/V=2d0", F_HALF, V_2D0), ("f=step3/V=box", F_STEP3, V_BOX))
 
@@ -773,10 +787,10 @@ def exp_nondeg_bound(cfg: RunConfig) -> list[IdentityCheck]:
             out[tag] = wp.weight * kvs[id(V)] * float(exp_density(f, X, cfg.dt))
         return out
 
-    accs = _leg(cfg, "nondeg", max(2000, cfg.n_paths // 4), _w_pass(prop, grid, fn))
+    accs = _leg(cfg, "nondeg", max(2000, cfg.n_paths // 4), _w_pass(_HEAVY, grid, fn))
     rows = []
     for tag, f, V in combos:
-        phi_f, c_v, src = _phi_hat(V, cfg)
+        phi_f, c_v, src = _phi_hat(V)
         bound = float(phi_f(0.0)) * np.exp(f.l1 / c_v)
         lhs = accs[tag].result(z_mult=Z_ONE_SIDED)
         rows.append(IdentityCheck.build(
@@ -923,11 +937,11 @@ def exp_dichotomy(cfg: RunConfig) -> list[IdentityCheck]:
 
     accs = _leg(cfg, "dichotomy", cfg.n_paths, bm_chunk_pass(0.0, n_steps, cfg.dt, eval_matrix))
     rows = []
-    wa = accs["W(A)"].result(z_mult=cfg.z_mult)
+    wa = accs["W(A)"].result()
     ests = {}
     for lam in lams:
         for tag in ("A", "full"):
-            r = accs[f"{tag}/lam={lam}"].result(z_mult=cfg.z_mult)
+            r = accs[f"{tag}/lam={lam}"].result()
             ests[(tag, lam)] = (r.mean / lam, r.std_error / lam)
     diffs = [ests[("A", lams[i + 1])][0] - ests[("A", lams[i])][0]
              for i in range(len(lams) - 1)]
@@ -942,14 +956,14 @@ def exp_dichotomy(cfg: RunConfig) -> list[IdentityCheck]:
             rows.append(IdentityCheck.build(
                 f"dichotomy/full-space/lam={lam}",
                 EstimatorResult.exact(0.9 / lam),
-                EstimatorResult(mean=m, std_error=se, n_paths=wa.n_paths, z_mult=cfg.z_mult),
+                EstimatorResult(mean=m, std_error=se, n_paths=wa.n_paths),
                 mode="upper", note="grows at least like 0.9 / lambda"))
         # proof-shaped lower bound with the empirical damping factor
         m, se = ests[("A", lam)]
-        lowm = (wa.mean - 4.0 * wa.std_error) / lam * np.exp(-lam * 4.0)
+        lowm = (wa.mean - Z_TWO_SIDED * wa.std_error) / lam * np.exp(-lam * 4.0)
         rows.append(IdentityCheck.build(
             f"dichotomy/lower/lam={lam}", EstimatorResult.exact(lowm),
-            EstimatorResult(mean=m, std_error=se, n_paths=wa.n_paths, z_mult=cfg.z_mult),
+            EstimatorResult(mean=m, std_error=se, n_paths=wa.n_paths),
             mode="upper", note="(W(A) - 4 se)/lambda with damping allowance"))
     empty_worst = max(accs[f"empty/lam={lam}"].result().mean for lam in lams)
     rows.append(IdentityCheck.build(
@@ -958,10 +972,11 @@ def exp_dichotomy(cfg: RunConfig) -> list[IdentityCheck]:
     return rows
 
 
-def envelope_rows(cfg: RunConfig, f: Integrand = F_HALF) -> list[IdentityCheck]:
-    """Gaussian envelope domination of the shifted drift densities under the
-    signed Bessel laws (a functionals-module invariant, not a CLI battery
-    member), plus the quadrature-vs-Monte-Carlo consistency row."""
+def envelope_rows(cfg: RunConfig) -> list[IdentityCheck]:
+    """Gaussian envelope domination of the shifted drift densities of F_HALF
+    under the signed Bessel laws (a functionals-module invariant, not a CLI
+    battery member), plus the quadrature-vs-Monte-Carlo consistency row."""
+    f = F_HALF
     rows = []
     for t in (0.0, 0.5, 1.0, 5.0):
         ft = f.shifted(t)

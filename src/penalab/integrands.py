@@ -85,7 +85,7 @@ class Integrand:
                 a, b = self.breaks[j], self.breaks[j + 1]
                 ka, kb = int(round(a / dt)), int(round(b / dt))
                 if abs(ka * dt - a) > 1e-9 * max(1.0, a) or abs(kb * dt - b) > 1e-9 * max(1.0, b):
-                    raise ValueError("step breakpoints must lie on the grid")
+                    raise ValueError(f"step breakpoints must lie on the grid of step dt={dt}")
                 ka, kb = min(ka, k_end), min(kb, k_end)
                 if kb > ka:
                     found.append((c, ka, kb))

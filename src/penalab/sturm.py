@@ -31,7 +31,10 @@ from .integrands import MeasureSpec
 from .paths import SamplePath
 
 __all__ = ["PhiSolution", "solve_phi", "scale_gamma", "martingale_density",
-           "atomic_phi_oracle"]
+           "atomic_phi_oracle", "BOX_L", "DX"]
+
+BOX_L = 50.0                    # the solve box is [-BOX_L, BOX_L]
+DX = 1e-3                       # its step
 
 
 class SolverError(RuntimeError):
@@ -114,7 +117,7 @@ def _integrate(g: np.ndarray, jump_at: np.ndarray, dx: float,
     return y, p
 
 
-def solve_phi(V: MeasureSpec, L: float = 50.0, dx: float = 1e-3) -> PhiSolution:
+def solve_phi(V: MeasureSpec, L: float = BOX_L, dx: float = DX) -> PhiSolution:
     if V.support_radius() >= L / 2:
         raise SolverError("support of V must lie inside (-L/2, L/2)")
     if V.total_mass() <= 0:

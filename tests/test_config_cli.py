@@ -1,6 +1,7 @@
 """Configuration parsing and the command line surface."""
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,9 @@ from penalab.config import RunConfig, config_from_sources, parse_config_file
 def test_config_defaults_and_validation():
     cfg = RunConfig()
     assert cfg.dt == 1e-3 and cfg.t_max == 40.0 and cfg.n_paths == 100_000
-    assert cfg.z_mult == pytest.approx(4.0, abs=1e-9)
+    # the z multipliers, the Sturm box and the heavy proposal are constants
+    assert [f.name for f in fields(RunConfig)] == [
+        "dt", "t_max", "n_paths", "master_seed", "theta", "n_workers", "out_dir"]
     with pytest.raises(ValueError):
         RunConfig(dt=-1.0)
     with pytest.raises(ValueError):
@@ -56,12 +59,14 @@ def test_config_file_rejects_duplicate_key(tmp_path):
 
 
 def test_config_file_rejects_unread_key(tmp_path):
-    # eps_localtime was a key nothing read; naming it must fail, not be ignored
+    # keys that nothing read, or that only passed their default back to the
+    # code; naming one must fail, not be ignored
     p = tmp_path / "run.cfg"
-    p.write_text("dt=0.01\nt_max=10\nn_paths=100\nmaster_seed=1\neps_localtime=0.1\n")
-    with pytest.raises(ValueError, match="unknown key 'eps_localtime'"):
-        config_from_sources(str(p), {}, env={})
-    assert "eps_localtime" not in RunConfig().as_dict()
+    for key in ("eps_localtime", "ci_level", "theta_heavy", "L", "dx"):
+        p.write_text(f"dt=0.01\nt_max=10\nn_paths=100\nmaster_seed=1\n{key}=0.1\n")
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            config_from_sources(str(p), {}, env={})
+        assert key not in RunConfig().as_dict()
 
 
 def test_override_precedence(tmp_path):
@@ -133,6 +138,8 @@ def test_cli_phi_subcommand(capsys):
     ("atom:0", "bad V token 'atom:0': expected atom:<loc>:<mass>"),
     ("box:1:2", "bad V token 'box:1:2': expected box:<a>:<b>:<h>"),
     ("wedge:0:1:1", "unknown V token 'wedge:0:1:1'"),
+    # well formed, but the Sturm box cannot hold it
+    ("atom:30:1", "support of V must lie inside (-L/2, L/2)"),
 ])
 def test_cli_phi_rejects_malformed_spec(spec, expected, capsys):
     assert main(["phi", spec]) == 1
@@ -211,8 +218,13 @@ def test_cli_report_without_summary_is_an_error(tmp_path, capsys):
 
 
 def test_cli_report_rejects_a_malformed_summary(tmp_path, capsys):
-    # empty, not JSON, JSON without a rows list, rows that are not a list
-    for i, text in enumerate(("", "{not json", "[1, 2]", '{"config": {}}', '{"rows": 3}')):
+    # empty, not JSON, JSON without a rows list, rows that are not a list, a
+    # row that is not a dict, a row without a printed field, a row whose
+    # printed number is not one
+    row = '{"experiment": "x", "verdict": "PASS", "lhs_mean": 1, "rhs_mean": 1'
+    for i, text in enumerate(("", "{not json", "[1, 2]", '{"config": {}}', '{"rows": 3}',
+                              '{"rows": [1]}', '{"rows": [%s}]}' % row,
+                              '{"rows": [%s, "tolerance": "a"}]}' % row)):
         f = tmp_path / f"r{i}" / "summary.json"
         f.parent.mkdir()
         f.write_text(text)
@@ -319,3 +331,26 @@ def test_short_horizon_for_a_gamma_proposal_fails_before_any_experiment(tmp_path
     cli.check_horizon(cli.BATTERY, cfg.replaced(t_max=13.0))
     with pytest.raises(ValueError, match="t_max=10.0 too small"):
         cli.check_horizon(["w-oracle"], cfg.replaced(t_max=10.0))
+
+
+def test_off_grid_dt_for_a_drift_fails_before_any_experiment(tmp_path, capsys):
+    # a drift breakpoint off the grid of step dt (1.0 at dt 0.4, 0.5 at dt
+    # 0.2) used to crash its experiment after the earlier ones had run
+    out = tmp_path / "out"
+    for dt, names in (("0.4", ["w-oracle", "cm-brownian"]),
+                      ("0.4", ["tail-vanishing", "convex-moments"]),
+                      ("0.4", ["exit-density"]),
+                      ("0.2", ["translation-identity"]),
+                      ("0.2", ["nondeg-bound"])):
+        assert main(["--dt", dt, "--n", "8", "--out", str(out), "verify", *names]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: step breakpoints must lie on the grid"), err
+        assert not out.exists()
+    # experiments whose drifts all sit on the grid keep that dt
+    cfg = RunConfig(dt=0.2, n_paths=8)
+    cli.check_horizon(["w-oracle", "cm-brownian", "tail-vanishing", "convex-moments",
+                       "exit-density"], cfg)
+    cli.check_horizon(cli.BATTERY, cfg.replaced(dt=0.25))
+    cli.check_horizon([n for n in cli.BATTERY if n not in ("translation-identity",
+                                                           "nondeg-bound")],
+                      cfg.replaced(dt=0.008))

@@ -9,6 +9,7 @@ from penalab import experiments
 from penalab.config import RunConfig
 from penalab.estimator import derive_seed
 from penalab.experiments import BATTERY, REGISTRY, envelope_rows, run_experiment
+from penalab.integrands import Integrand
 from penalab.samplers import WProposal, substream
 
 TOY = RunConfig(dt=1e-2, t_max=40.0, n_paths=600, master_seed=99)
@@ -208,8 +209,9 @@ def test_tau0_draws_stop_on_demand(monkeypatch):
 
 
 def test_declared_gamma_proposals_are_the_drawn_ones(monkeypatch):
-    # check_horizon reads the declaration, so it must name every gamma
-    # proposal an experiment draws from, and only those
+    # check_horizon reads the declarations, so they must name every gamma
+    # proposal an experiment draws from and every nonzero drift whose Wiener
+    # integral it takes, and only those
     drawn = []
     real = experiments.sample_W
 
@@ -217,10 +219,22 @@ def test_declared_gamma_proposals_are_the_drawn_ones(monkeypatch):
         drawn.append(prop)
         return real(prop, grid, rng, **cut)
 
+    snapped = []
+    real_steps = Integrand.grid_steps
+
+    def steps_spy(f, dt, k_end):
+        snapped.append(f)
+        return real_steps(f, dt, k_end)
+
     monkeypatch.setattr(experiments, "sample_W", spy)
+    monkeypatch.setattr(Integrand, "grid_steps", steps_spy)
     cfg = RunConfig(dt=0.05, n_paths=4, master_seed=3)
     for name in REGISTRY:
         drawn.clear()
+        snapped.clear()
         run_experiment(name, cfg)
         declared = experiments._GAMMA_PROPOSALS.get(name, lambda cfg: ())(cfg)
         assert {p for p in drawn if p.kind == "gamma"} == set(declared), name
+        # Integrand holds arrays and has no hash: compare by identity
+        drifts = experiments._DRIFTS.get(name, ())
+        assert {id(f) for f in snapped if not f.is_zero} == {id(f) for f in drifts}, name

@@ -1,10 +1,13 @@
-"""The public surface: every exported name resolves, and the benchmark's
-tracer, which wraps package functions by name from outside, installs on the
-package and its undo restores the originals."""
+"""The public surface: every exported name resolves, every run setting is
+read by the code, and the benchmark's tracer, which wraps package functions
+by name from outside, installs on the package and its undo restores the
+originals."""
+import ast
 import importlib
 import importlib.util
 import pkgutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import penalab
@@ -36,6 +39,17 @@ def test_every_exported_name_resolves():
     for mod in SUBMODULES:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), (mod.__name__, name)
+
+
+def test_every_run_setting_is_read_outside_the_config_module():
+    # a RunConfig field that no other module reads is an option with one
+    # value in use; it belongs in the module that uses it, as a constant
+    read = set()
+    for path in Path(penalab.__file__).parent.glob("*.py"):
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    assert [f.name for f in fields(penalab.RunConfig) if f.name not in read] == []
 
 
 def test_experiments_bind_the_layer_originals():
