@@ -85,6 +85,9 @@ def write_results(run_dir: Path, cfg: RunConfig, rows: list[IdentityCheck]) -> N
                   json.dumps(summary, indent=1, sort_keys=True) + "\n")
 
 
+VERDICTS = ("PASS", "INCONCLUSIVE", "FAIL")     # from best to worst
+
+
 def exit_code(verdicts) -> int:
     """0 iff every verdict is PASS; any FAIL -> 1, else any INCONCLUSIVE -> 2."""
     verdicts = set(verdicts)
@@ -190,7 +193,7 @@ def cmd_verify(cfg: RunConfig, names: list[str]) -> int:
         got = run_experiment(name, cfg)
         rows.extend(got)
         worst = max((c.verdict for c in got),
-                    key=lambda v: ("PASS", "INCONCLUSIVE", "FAIL").index(v))
+                    key=VERDICTS.index)
         print(f"[{time.time() - t0:7.1f}s] {name:20s} {len(got):3d} rows, worst: {worst}")
     run_dir = _run_dir(cfg)
     write_results(run_dir, cfg, rows)
@@ -202,7 +205,9 @@ def cmd_verify(cfg: RunConfig, names: list[str]) -> int:
 def _report_line(run: str, r: dict) -> tuple[str, str]:
     """(printed line, verdict) of one summary row; KeyError or TypeError
     when the row is not a dict with the printed fields, ValueError when a
-    number is not one."""
+    number is not one or the verdict is none of VERDICTS."""
+    if r["verdict"] not in VERDICTS:
+        raise ValueError(f"unknown verdict {r['verdict']!r}")
     return (f"{run:28s} {r['experiment']:48s} {r['verdict']:12s} "
             f"{r['lhs_mean']:.6g} {r['rhs_mean']:.6g} {r['tolerance']:.3g}", r["verdict"])
 
@@ -218,12 +223,12 @@ def cmd_report(paths: list[str]) -> int:
             try:
                 got = json.loads(f.read_text(encoding="utf-8"))["rows"]
                 lines = ([_report_line(f.parent.name, r) for r in got]
-                         if isinstance(got, list) else None)
+                         if isinstance(got, list) and got else None)
             except (ValueError, KeyError, TypeError):
                 lines = None
             if lines is None:
-                print(f"{f}: not a summary (empty, invalid JSON, no rows list"
-                      " or a row without a printed field)", file=sys.stderr)
+                print(f"{f}: not a summary (empty, invalid JSON, no rows, or a row"
+                      " without a printed field or a known verdict)", file=sys.stderr)
                 return 1
             rows.extend(lines)
     print(f"{'run':28s} {'experiment':48s} {'verdict':12s} lhs rhs tol")

@@ -17,7 +17,7 @@ from .samplers import _bessel3_values, _bm_values, substream
 
 __all__ = [
     "EstimatorResult", "IdentityCheck", "derive_seed",
-    "run_chunked", "ordered_map", "bm_chunk_pass", "bessel_chunk_pass",
+    "run_chunked", "bm_chunk_pass", "bessel_chunk_pass",
     "path_pass", "CHUNK", "Z_TWO_SIDED", "Z_ONE_SIDED",
 ]
 
@@ -138,24 +138,15 @@ def run_chunked(n_paths: int, seed: int, chunk_fn, n_workers: int = 1) -> dict:
     jobs = [(s, min(CHUNK, n_paths - s)) for s in starts]
     accs: dict[str, _Accum] = {}
 
-    def _consume(out):
-        for name, (vals, cens) in out.items():
-            accs.setdefault(name, _Accum()).add_chunk(vals, cens)
+    def run(job):
+        return chunk_fn(seed, *job)
 
-    for out in ordered_map(lambda j: chunk_fn(seed, j[0], j[1]), jobs, n_workers):
-        _consume(out)
-    return accs
-
-
-def ordered_map(fn, items, n_workers: int = 1):
-    """Yield fn(item) for each item, in item order.  With n_workers > 1 the
-    calls run on a thread pool; results are still yielded in order, so a
-    caller that reduces them in that order gets the same bits."""
-    if n_workers <= 1:
-        yield from map(fn, items)
-        return
+    # the pool yields its results in job order, so the sums keep their bits
     with ThreadPoolExecutor(max_workers=n_workers) as ex:
-        yield from ex.map(fn, items)
+        for out in ex.map(run, jobs) if n_workers > 1 else map(run, jobs):
+            for name, (vals, cens) in out.items():
+                accs.setdefault(name, _Accum()).add_chunk(vals, cens)
+    return accs
 
 
 def _matrix_pass(row_values, n_steps: int, eval_matrix):

@@ -23,8 +23,8 @@ from scipy import integrate as sq
 
 from .config import RunConfig
 from .estimator import (Z_ONE_SIDED, Z_TWO_SIDED, EstimatorResult, IdentityCheck,
-                        bessel_chunk_pass, bm_chunk_pass, derive_seed, ordered_map,
-                        path_pass, run_chunked)
+                        bessel_chunk_pass, bm_chunk_pass, derive_seed, path_pass,
+                        run_chunked)
 from .functionals import (abs_gauss_exp_moment, exp_density, f_phi_integral,
                           fk_log_weight, gaussian_envelope, local_time_signed,
                           occupation_integral, phi_a, wiener_integral)
@@ -34,9 +34,6 @@ from .samplers import WProposal, _bridge_values, sample_W, substream
 from .sturm import BOX_L, DX, atomic_phi_oracle, scale_gamma, solve_phi
 
 __all__ = ["REGISTRY", "BATTERY", "run_experiment", "check_horizon", "envelope_rows"]
-
-# doubles (1 MiB) that one block of normals of the exit-density product side holds
-_PRODUCT_BLOCK = 1 << 17
 
 # -- shared integrand battery -------------------------------------------------
 
@@ -605,48 +602,36 @@ def exp_translation_identity(cfg: RunConfig) -> list[IdentityCheck]:
     return rows
 
 
-def _row_blocks(gen, n_rows: int, row_shape: tuple, dt: float):
-    """Yield (rows, W) over the rows of gen.standard_normal((n_rows,
-    *row_shape)) scaled by sqrt(dt) and summed along axis 1, in blocks of
-    whole rows that continue the generator and hold at most _PRODUCT_BLOCK
-    doubles (one row, if a row is longer).  Each row gets the same
-    operations as in the whole matrix, so the same bits."""
-    per = max(1, _PRODUCT_BLOCK // int(np.prod(row_shape)))
-    for lo in range(0, n_rows, per):
-        rows = slice(lo, min(n_rows, lo + per))
-        W = gen.standard_normal((rows.stop - lo, *row_shape))
-        W *= np.sqrt(dt)
-        np.cumsum(W, axis=1, out=W)
-        yield rows, W
-
-
 def _exit_factors(cfg: RunConfig, f: Integrand, u: float, seed_tag: str, n_inner: int):
     """(mean, se) of Pi^{(u)}[E_u] * R[E(f(.+u))] at one Simpson node of
     the exit-density product side; the two factors draw from independent
-    substreams, and each keeps one number per row of its normals."""
+    substreams, and each draws only the grid value it reads, from its exact
+    Gaussian law."""
     ku = max(1, int(round(u / cfg.dt)))
     u_snap = ku * cfg.dt
     seed_n = derive_seed(cfg.master_seed, f"exit-rhs-{seed_tag}")
     gen_pi = substream(seed_n, 0)
     gen_r = substream(seed_n, 1)
     # bridge factor: exact telescoping of the step integrand, so only the
-    # pinned bridge at kf is read (0, with no normals drawn, when the
+    # pinned bridge b_kf = B_kf - (kf/ku) B_ku is read, from B_kf and the
+    # independent increment B_ku - B_kf (0, with no normals drawn, when the
     # support covers u)
     kf = min(int(round(f.support_end / cfg.dt)), ku)
     b_kf = np.zeros(n_inner)
     if kf < ku:
-        for rows, W in _row_blocks(gen_pi, n_inner, (ku,), cfg.dt):
-            b_kf[rows] = W[:, kf - 1] - (kf * cfg.dt / u_snap) * W[:, -1]
+        z = gen_pi.standard_normal((n_inner, 2))
+        B_kf = np.sqrt(kf * cfg.dt) * z[:, 0]
+        B_ku = B_kf + np.sqrt((ku - kf) * cfg.dt) * z[:, 1]
+        b_kf = B_kf - (kf * cfg.dt / u_snap) * B_ku
     pib = np.exp(b_kf - 0.5 * f.l2sq_partial(u_snap))
     pi_m, pi_se = pib.mean(), pib.std() / np.sqrt(n_inner)
     r = f.support_end - u_snap
     if r <= 0:
         return pi_m, pi_se
+    # Bessel factor: only the end point is read, |B^3| at kr steps
     kr = int(round(r / cfg.dt))
-    bes = np.empty(n_inner)
-    for rows, W3 in _row_blocks(gen_r, n_inner, (kr, 3), cfg.dt):
-        end = W3[:, -1]
-        bes[rows] = np.sqrt(np.einsum("nj,nj->n", end, end))
+    z3 = gen_r.standard_normal((n_inner, 3))
+    bes = np.sqrt(kr * cfg.dt) * np.sqrt(np.einsum("nj,nj->n", z3, z3))
     epsv = np.where(gen_r.random(n_inner) < 0.5, 1.0, -1.0)
     rb = np.exp(epsv * bes - 0.5 * r)
     r_m, r_se = rb.mean(), rb.std() / np.sqrt(n_inner)
@@ -683,12 +668,11 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
     n_inner = max(500, cfg.n_paths // 40)
     # uniform Simpson nodes in s = sqrt(u), 5 per bin; _exit_factors snaps u=0
     # to dt, where the pinned bridge factor is exp(-dt/2) ~ 1.  Every node
-    # has its own seed tag, so the nodes run on the workers in any order.
+    # has its own seed tag and draws at most 3 normals per inner row, too
+    # little work to hand to the pool, so the nodes run in order.
     s_nodes = [np.linspace(np.sqrt(edges[k]), np.sqrt(edges[k + 1]), 5) for k in range(nb)]
-    nodes = [(s, f"{k}-{j}") for k in range(nb) for j, s in enumerate(s_nodes[k])]
-    node_out = list(ordered_map(
-        lambda node: _exit_factors(cfg, f, node[0] * node[0], node[1], n_inner),
-        nodes, cfg.n_workers))
+    node_out = [_exit_factors(cfg, f, s * s, f"{k}-{j}", n_inner)
+                for k in range(nb) for j, s in enumerate(s_nodes[k])]
     rows = []
     for k in range(nb):
         lo, hi = edges[k], edges[k + 1]

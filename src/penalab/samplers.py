@@ -6,9 +6,8 @@ Each law has one row builder, ``_bm_values``, ``_bridge_values`` and
 SamplePath samplers, the sigma-finite draw and the chunk passes of
 ``estimator`` (``bm_chunk_pass``, ``bessel_chunk_pass``) all build their rows
 with it, so a law is drawn by the same operations wherever it is used.  The
-one exception is the exit-density product side, whose bridge and Bessel row
-blocks scale the normals before the cumsum; its bytes are pinned, and moving
-it onto the row builders would change their last bits.
+exit-density product side builds no rows: it reads one grid value per
+factor and draws that value's Gaussian law directly.
 
 Reproducibility contract: one Philox substream per path index, keyed by
 (master_seed, stream_index).  Identical (master_seed, stream_index, config)

@@ -220,11 +220,14 @@ def test_cli_report_without_summary_is_an_error(tmp_path, capsys):
 def test_cli_report_rejects_a_malformed_summary(tmp_path, capsys):
     # empty, not JSON, JSON without a rows list, rows that are not a list, a
     # row that is not a dict, a row without a printed field, a row whose
-    # printed number is not one
+    # printed number is not one, an empty rows list, a row whose verdict is
+    # not one
     row = '{"experiment": "x", "verdict": "PASS", "lhs_mean": 1, "rhs_mean": 1'
+    bogus = row.replace("PASS", "bogus")
     for i, text in enumerate(("", "{not json", "[1, 2]", '{"config": {}}', '{"rows": 3}',
                               '{"rows": [1]}', '{"rows": [%s}]}' % row,
-                              '{"rows": [%s, "tolerance": "a"}]}' % row)):
+                              '{"rows": [%s, "tolerance": "a"}]}' % row, '{"rows": []}',
+                              '{"rows": [%s, "tolerance": 0}]}' % bogus)):
         f = tmp_path / f"r{i}" / "summary.json"
         f.parent.mkdir()
         f.write_text(text)
@@ -247,7 +250,7 @@ def test_cli_worker_count_reproduces_means(tmp_path):
 
 
 def test_cli_worker_count_reproduces_bytes(tmp_path):
-    # the exit-density product side runs its Simpson nodes on the workers
+    # the chunked legs of both experiments run on the workers
     bodies = []
     for w in ("1", "2"):
         d = tmp_path / f"w{w}"
@@ -271,11 +274,16 @@ def test_verify_deterministic_rows_keep_their_bytes(tmp_path):
         (["phi-atom", "tail-transform"],
          "82cae4918edd73517d46062061939eb22912d14cf7a01153b765833d5158152e",
          "23b5288e17d44407ac39be394c7e0e54bca98b48455cd74f9f3832711ceffc6f"),
-        # the whole battery, recorded at commit 74b774e, before the samplers
-        # and the exit/hit indices were reduced to one copy each
+        # the battery without exit-density, recorded at commit a21980c, before
+        # the exit-density product side drew only the grid values it reads
+        ([n for n in cli.BATTERY if n != "exit-density"],
+         "a2155352406da0b377d2b3ee550e27612cebca49b6a0be4bd9c97dd133e61117",
+         "c40c2b175b1e028af6158d547f7172359d111f7323cabafdc2a4e57f138c4142"),
+        # the whole battery, re-recorded when the exit-density product side
+        # began to draw only the grid values it reads; its 12 bin rows moved
         (cli.BATTERY,
-         "cd56073ce0e867fa35ef9b269f8deb550a746b4d34c450712603bd4af0a383ef",
-         "c10a23eb1087a38e6bf6cbd3aa24dfa8c37df1d400059f5758d45415af82f318"),
+         "b4050e5df5dc4b39e2fe807c92d554f64047e89badb75c873e7b1c7279ab3faf",
+         "d269f50cb4761ba790945afebc18cd65500f7a8913730ba12b00503231ab516b"),
     )
     for k, (names, csv_digest, rows_digest) in enumerate(cases):
         out = tmp_path / str(k)

@@ -10,7 +10,7 @@ from penalab.config import RunConfig
 from penalab.estimator import derive_seed
 from penalab.experiments import BATTERY, REGISTRY, envelope_rows, run_experiment
 from penalab.integrands import Integrand
-from penalab.samplers import WProposal, substream
+from penalab.samplers import WProposal
 
 TOY = RunConfig(dt=1e-2, t_max=40.0, n_paths=600, master_seed=99)
 
@@ -128,53 +128,51 @@ def test_envelope_rows_keep_their_bytes():
         "c8700d4f8e5acdcfb7ac7510daa84e7b04aa9a36612282d616d68306bb1bb050")
 
 
-def _whole_matrix_factors(cfg, f, u, seed_tag, n_inner):
-    # the exit-density product side as it was before it streamed its
-    # normals: one (n_inner, ku) bridge matrix and one (n_inner, kr, 3)
-    # Bessel tensor per node
-    ku = max(1, int(round(u / cfg.dt)))
-    u_snap = ku * cfg.dt
-    seed_n = derive_seed(cfg.master_seed, f"exit-rhs-{seed_tag}")
-    gen_pi = substream(seed_n, 0)
-    gen_r = substream(seed_n, 1)
-    kf = min(int(round(f.support_end / cfg.dt)), ku)
-    W = gen_pi.standard_normal((n_inner, ku))
-    W *= np.sqrt(cfg.dt)
-    np.cumsum(W, axis=1, out=W)
-    if kf == ku:
-        b_kf = np.zeros(n_inner)
-    else:
-        b_kf = W[:, kf - 1] - (kf * cfg.dt / u_snap) * W[:, -1]
-    pib = np.exp(b_kf - 0.5 * f.l2sq_partial(u_snap))
-    pi_m, pi_se = pib.mean(), pib.std() / np.sqrt(n_inner)
-    r = f.support_end - u_snap
-    if r <= 0:
-        return pi_m, pi_se
-    kr = int(round(r / cfg.dt))
-    W3 = gen_r.standard_normal((n_inner, kr, 3))
-    W3 *= np.sqrt(cfg.dt)
-    np.cumsum(W3, axis=1, out=W3)
-    end = W3[:, -1]
-    bes = np.sqrt(np.einsum("nj,nj->n", end, end))
-    epsv = np.where(gen_r.random(n_inner) < 0.5, 1.0, -1.0)
-    rb = np.exp(epsv * bes - 0.5 * r)
-    r_m, r_se = rb.mean(), rb.std() / np.sqrt(n_inner)
-    return pi_m * r_m, abs(pi_m) * r_se + abs(r_m) * pi_se
-
-
-@pytest.mark.parametrize("block", [7, 60, 240, 3000, experiments._PRODUCT_BLOCK])
-def test_exit_factors_stream_keeps_the_whole_matrix_bits(monkeypatch, block):
-    # at dt 0.01 a bridge row holds ku = u / dt doubles (read only past
-    # u = 1) and a Bessel row 3 (1 - u) / dt: a block holds many rows, one
-    # row exactly (ku = 240 at u = 2.4, 3 kr = 60 at u = 0.8), or less than
-    # one row
-    monkeypatch.setattr(experiments, "_PRODUCT_BLOCK", block)
+def test_exit_factors_follow_their_closed_forms():
+    # for u >= 1 only the bridge factor is left, E exp(b_kf - 1/2) with
+    # Var b_kf = 1 - 1/u; for u < 1 the bridge factor is exp(-u/2) and the
+    # Bessel factor E exp(eps R_r - r/2) = E cosh(R_r) e^{-r/2} = 1 + r
     cfg = RunConfig(dt=0.01, n_paths=320, master_seed=13)
     f = experiments.F_UNIT
-    for j, u in enumerate((0.0, 0.02, 0.2, 0.6, 0.8, 0.98, 1.0, 1.3, 2.4, 6.0)):
-        got = experiments._exit_factors(cfg, f, u, f"t{j}", 500)
-        want = _whole_matrix_factors(cfg, f, u, f"t{j}", 500)
-        assert [v.hex() for v in map(float, got)] == [v.hex() for v in map(float, want)], u
+    for j, u in enumerate((0.3, 0.8, 1.0, 2.4, 6.0)):
+        m, se = experiments._exit_factors(cfg, f, u, f"law{j}", 20_000)
+        ku = max(1, int(round(u / cfg.dt)))
+        u_snap = ku * cfg.dt
+        if u_snap >= 1.0:
+            want = np.exp(-0.5 / u_snap)
+        else:
+            r = (int(round(1.0 / cfg.dt)) - ku) * cfg.dt
+            want = np.exp(-0.5 * u_snap) * (1.0 + r)
+        if u == 1.0:
+            # the pinned bridge reads 0: the factor is the constant exp(-1/2)
+            assert abs(m - want) <= 1e-12, (u, m)
+        else:
+            assert abs(m - want) <= 4.0 * se, (u, m, want, se)
+
+
+def test_exit_factors_draw_only_the_grid_values_they_read(monkeypatch):
+    # a bridge row reads b_kf (2 normals) and a Bessel row its end point
+    # (3 normals); the sign is a uniform, not a normal
+    asked = []
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, size=None, **kw):
+            asked.append(int(np.prod(size)))
+            return self.gen.standard_normal(size, **kw)
+
+        def __getattr__(self, name):
+            return getattr(self.gen, name)
+
+    real = experiments.substream
+    monkeypatch.setattr(experiments, "substream", lambda *a: Counting(real(*a)))
+    cfg = RunConfig(dt=1e-3, n_paths=320, master_seed=13)
+    for j, u in enumerate((0.0, 0.02, 0.5, 0.98, 1.0, 1.3, 6.0)):
+        asked.clear()
+        experiments._exit_factors(cfg, experiments.F_UNIT, u, f"t{j}", 500)
+        assert sum(asked) <= 5 * 500, (u, asked)
 
 
 def test_exit_density_holds_bounded_blocks():
