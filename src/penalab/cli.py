@@ -212,13 +212,15 @@ def _report_line(run: str, r: dict) -> tuple[str, str]:
             f"{r['lhs_mean']:.6g} {r['rhs_mean']:.6g} {r['tolerance']:.3g}", r["verdict"])
 
 
-def cmd_report(paths: list[str]) -> int:
-    rows = []
+def _summaries(paths: list[str]) -> list[tuple[list[dict], list]] | None:
+    """(rows, their _report_line) of each summary.json under the paths; None,
+    after saying why on stderr, when a path holds none or one is malformed."""
+    out = []
     for p in paths:
         found = sorted(Path(p).rglob("summary.json"))
         if not found:
             print(f"no summary.json under {p}", file=sys.stderr)
-            return 1
+            return None
         for f in found:
             try:
                 got = json.loads(f.read_text(encoding="utf-8"))["rows"]
@@ -229,12 +231,47 @@ def cmd_report(paths: list[str]) -> int:
             if lines is None:
                 print(f"{f}: not a summary (empty, invalid JSON, no rows, or a row"
                       " without a printed field or a known verdict)", file=sys.stderr)
-                return 1
-            rows.extend(lines)
+                return None
+            out.append((got, lines))
+    return out
+
+
+def cmd_report(paths: list[str]) -> int:
+    found = _summaries(paths)
+    if found is None:
+        return 1
+    rows = [line for _, lines in found for line in lines]
     print(f"{'run':28s} {'experiment':48s} {'verdict':12s} lhs rhs tol")
     for line, _ in rows:
         print(line)
     return exit_code(verdict for _, verdict in rows)
+
+
+def cmd_compare(paths: list[str]) -> int:
+    """Print each row's shift of lhs - rhs from run A to run B in units of A's
+    combined se (raw when it is 0); 1 when a verdict or the row set differs."""
+    found = _summaries(paths) if len(paths) == 2 else []
+    if found is None:
+        return 1
+    if len(found) != 2 or not all(isinstance(r.get(k), (int, float)) for rows, _ in found
+                                  for r in rows for k in ("lhs_se", "rhs_se")):
+        print("report --compare takes two runs A B, each with one summary.json"
+              " whose rows carry lhs_se and rhs_se", file=sys.stderr)
+        return 1
+    by_a, by_b = ({r["experiment"]: r for r in rows} for rows, _ in found)
+    differs = by_a.keys() != by_b.keys()
+    print(f"{'experiment':48s} {'shift':>12s} verdict")
+    for name in sorted(by_a.keys() & by_b.keys()):
+        ra, rb = by_a[name], by_b[name]
+        d = (rb["lhs_mean"] - rb["rhs_mean"]) - (ra["lhs_mean"] - ra["rhs_mean"])
+        se = (ra["lhs_se"] ** 2 + ra["rhs_se"] ** 2) ** 0.5
+        shift = f"{d / se:+.3g} se" if se else f"{d:+.3g} raw"
+        flip = ra["verdict"] != rb["verdict"]
+        differs |= flip
+        print(f"{name:48s} {shift:>12s} {ra['verdict']}" + (f" -> {rb['verdict']}" if flip else ""))
+    for name in sorted(by_a.keys() ^ by_b.keys()):
+        print(f"{name:48s} {'':12s} only in {'A' if name in by_a else 'B'}")
+    return int(differs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,13 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify-all", help="run the full battery")
     p_r = sub.add_parser("report", help="aggregate summary.json files")
     p_r.add_argument("dirs", nargs="+")
+    p_r.add_argument("--compare", action="store_true",
+                     help="compare two runs A B row by row")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "report":
-        return cmd_report(args.dirs)
+        return (cmd_compare if args.compare else cmd_report)(args.dirs)
     overrides = {k: getattr(args, k, None)
                  for k in ("dt", "n_paths", "master_seed", "theta", "out_dir",
                            "n_workers")}

@@ -1,6 +1,6 @@
 """Named verification experiments: one per identity, bound or limit.
 
-Each experiment consumes a RunConfig, runs its Monte Carlo or quadrature
+Each experiment consumes a RunConfig, runs its Monte Carlo or closed-form
 legs with seeds derived from (master_seed, experiment tag), and returns a
 list of IdentityCheck rows.  Verdicts are pure functions of (config, seed).
 
@@ -10,16 +10,16 @@ proposal.  Functionals whose conditional mean decays only polynomially in
 the last-exit time (Feynman-Kac weights and translated-path functionals)
 put an irreducible fraction of their mass beyond any simulable horizon; for
 bounded checks the estimate targets the restriction to {g <= t_max} with an
-explicit quadrature tail budget, and the exact-identity checks on the
+explicit closed-form tail budget, and the exact-identity checks on the
 Feynman-Kac class are evaluated through the finite-horizon reduction
 (kernel transported to a late time U times the marginal normalizer), which
 is exact for atoms at the origin and solver-exact otherwise.
 """
 from __future__ import annotations
 
-import numpy as np
-from scipy import integrate as sq
+import math
 
+import numpy as np
 
 from .config import RunConfig
 from .estimator import (Z_ONE_SIDED, Z_TWO_SIDED, EstimatorResult, IdentityCheck,
@@ -56,6 +56,21 @@ def _m0(u):
     return 1.0 / np.sqrt(2.0 * np.pi * u)
 
 
+def _m0_mass(a: float, lo: float, hi: float) -> float:
+    """int_lo^hi m0(u) exp(-a u) du in closed form: s = sqrt(a u) turns it
+    into an erf integral, taken as an erfc difference to keep far bins exact."""
+    return (math.erfc(math.sqrt(a * lo)) - math.erfc(math.sqrt(a * hi))) / math.sqrt(2.0 * a)
+
+
+def _tau0_tail(x: float, t_max: float) -> float:
+    """int_t_max^inf m0(u) (1 - exp(-2 x^2 / u)) / 2 du in closed form, with
+    S = |x| sqrt(2 / t_max); 0 at x = 0."""
+    if x == 0.0:
+        return 0.0
+    S = abs(x) * math.sqrt(2.0 / t_max)
+    return abs(x) * (math.erf(S) + math.expm1(-S * S) / (math.sqrt(math.pi) * S))
+
+
 # -- normalizer phi and tolerance budgets --------------------------------------
 
 def _phi_hat(V: MeasureSpec):
@@ -81,20 +96,21 @@ def _translation_tail_budget(f: Integrand, t_max: float) -> float:
     """Mass of translated-path functionals (bounded by 1, damped by
     exp(-g(X+h))) that lives beyond the horizon: paths with g(X) > t_max
     contribute only when the long bridge stays above the drift profile,
-    which the reflection bound controls."""
+    which the reflection bound controls: int_t_max^inf m0(u) (stay / 2 +
+    exp(-sqrt u)) du, stay = min(1, c / max(u - sqrt u, 1)), c = 2 hbar^2.
+    In s = sqrt(u), m0(u) du = sqrt(2/pi) ds and stay is min(1, c) below s1
+    and c / (s (s - 1)) above it, so each piece integrates in closed form."""
     if f.is_zero:
         return 0.0
     ts = np.linspace(0.0, f.support_end, 2001)
     hbar = float(np.max(np.abs(f.primitive(ts))))
     if hbar == 0.0:
         return 0.0
-
-    def integrand(u):
-        stay = min(1.0, 2.0 * hbar * hbar / max(u - np.sqrt(u), 1.0))
-        return _m0(u) * (0.5 * stay + np.exp(-np.sqrt(u)))
-
-    val, _ = sq.quad(integrand, t_max, np.inf, limit=400)
-    return float(val)
+    c = 2.0 * hbar * hbar
+    s0 = math.sqrt(t_max)
+    s1 = max(s0, (1.0 + math.sqrt(5.0)) / 2.0, (1.0 + math.sqrt(1.0 + 4.0 * c)) / 2.0)
+    stay = min(1.0, c) * (s1 - s0) + c * math.log(s1 / (s1 - 1.0))
+    return math.sqrt(2.0 / math.pi) * (math.exp(-s0) + 0.5 * stay)
 
 
 def _grid_h(f: Integrand, n: int, dt: float, T: float | None = None) -> np.ndarray:
@@ -233,9 +249,8 @@ def exp_w_oracle(cfg: RunConfig) -> list[IdentityCheck]:
     rows = []
     for a in alphas:
         lhs = accs[f"a{a}"].result(budget=a * cfg.dt)
-        rhs_val, _ = sq.quad(lambda u: _m0(u) * np.exp(-a * u), 0, np.inf, limit=200)
         rows.append(IdentityCheck.build(
-            f"w-oracle/alpha={a}", lhs, EstimatorResult.exact(rhs_val),
+            f"w-oracle/alpha={a}", lhs, EstimatorResult.exact(_m0_mass(a, 0.0, math.inf)),
             note="closed form 1/sqrt(2 alpha)"))
     mism = accs["g-mismatch"].result()
     rows.append(IdentityCheck.build(
@@ -428,7 +443,7 @@ def exp_tau0(cfg: RunConfig) -> list[IdentityCheck]:
     """Mass of never-hitting-zero paths under the shifted measure equals |x|.
 
     Body sampled with the truncated heavy proposal; the mass beyond the
-    horizon is the classical bridge-reflection integral, added exactly."""
+    horizon is the classical bridge-reflection integral, in closed form."""
     grid = cfg.grid()
     xs = (-1.0, -0.5, 0.5, 1.0)
 
@@ -445,9 +460,7 @@ def exp_tau0(cfg: RunConfig) -> list[IdentityCheck]:
                 _w_pass(_HEAVY, grid, fn, reach=max(abs(x) for x in xs)))
     rows = []
     for x in xs:
-        tail, _ = sq.quad(
-            lambda u: _m0(u) * 0.5 * (1.0 - np.exp(-2.0 * x * x / u)),
-            cfg.t_max, np.inf, limit=400)
+        tail = _tau0_tail(x, cfg.t_max)
         body = accs[f"x={x}"].result()
         est = EstimatorResult(mean=body.mean + tail, std_error=body.std_error,
                               n_paths=body.n_paths, censor_rate=body.censor_rate)
@@ -456,7 +469,7 @@ def exp_tau0(cfg: RunConfig) -> list[IdentityCheck]:
         budget = 0.65 * np.sqrt(cfg.dt) + 0.5 * (x * x / 3.0) * _m0(max(1.0, cfg.t_max - 4 * x * x))
         rows.append(IdentityCheck.build(
             f"tau0/x={x}", est, EstimatorResult.exact(abs(x)), extra_budget=budget,
-            note=f"analytic tail beyond horizon = {tail:.6f} (exact quadrature)"))
+            note=f"analytic tail beyond horizon = {tail:.6f} (closed form)"))
     rows.append(IdentityCheck.build(
         "tau0/x=0", EstimatorResult.exact(0.0), EstimatorResult.exact(0.0),
         note="paths from 0 hit 0 at time 0; estimand vanishes identically"))
@@ -708,11 +721,10 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
         note="bridge pins the integral: zero variance"))
     for k in (0, 4):
         lo, hi = edges[k], edges[k + 1]
-        want, _ = sq.quad(lambda u: _m0(u) * np.exp(-u), lo, hi, limit=200)
         got = accs[f"f0bin{k}"].result(budget=cfg.dt)
-        rows.append(IdentityCheck.build(
-            f"exit-density/f=0-bin({lo},{hi}]", got, EstimatorResult.exact(want),
-            note="undrifted law: incomplete-Gamma quadrature"))
+        want = EstimatorResult.exact(_m0_mass(1.0, lo, hi))
+        rows.append(IdentityCheck.build(f"exit-density/f=0-bin({lo},{hi}]", got, want,
+                                        note="undrifted law: closed form"))
     return rows
 
 

@@ -13,9 +13,9 @@ around the level.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
-from scipy import special
 
 from .integrands import Integrand, MeasureSpec
 
@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 # -- local times -------------------------------------------------------------
@@ -49,7 +50,10 @@ def local_time_signed(values: np.ndarray, level: float = 0.0,
     """Signed-increment estimator |X_t - y| - |X_0 - y| - sum sgn(X_i - y) dX_i.
 
     Mean-exact for Brownian increments (the correction sum is a martingale);
-    identically 0 on paths that never change sign around the level.
+    identically 0 on paths that never change sign around the level.  On a
+    sigma-finite draw the level-0 value is complete at upto = k + 1, with
+    k = last_exit_index: the step out of the exact 0 at k adds 2 |v[k+1]|
+    when the Bessel leg is negative, so upto = k is one step short.
     """
     v = np.asarray(values)
     if upto is not None:
@@ -127,7 +131,7 @@ def phi_a(a: float, t) -> np.ndarray:
     if a == 0.0:
         out = np.sqrt(2.0 / (np.pi * t))
     else:
-        out = special.erf(a / np.sqrt(2.0 * t)) / a
+        out = _erf(a / np.sqrt(2.0 * t)) / a
     return out if out.ndim else float(out)
 
 
@@ -169,10 +173,12 @@ def f_phi_integral(f: Integrand, a: float) -> float:
 # -- tail transforms and the Gaussian envelope -----------------------------------
 
 def abs_gauss_exp_moment(beta: float) -> float:
-    """E exp(beta |N|) = 2 exp(beta^2/2) Phi(beta), computed stably."""
+    """E exp(beta |N|) = 2 exp(beta^2/2) Phi(beta); for beta < 0 it is
+    exp(x^2) erfc(x) with x = -beta / sqrt 2, which overflows past beta ~ -37."""
     if beta >= 0:
-        return float(np.exp(beta * beta / 2.0) * (2.0 - special.erfc(beta / np.sqrt(2.0))))
-    return float(special.erfcx(-beta / np.sqrt(2.0)))
+        return float(np.exp(beta * beta / 2.0) * (2.0 - math.erfc(beta / np.sqrt(2.0))))
+    x = -beta / np.sqrt(2.0)
+    return math.exp(x * x) * math.erfc(x)
 
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(96)

@@ -214,6 +214,12 @@ class MeasureSpec:
         for _, lam in self.atoms:
             if lam <= 0:
                 raise ValueError("atom masses must be positive")
+        for p in self.pieces:
+            if p.b < p.a or p.ha < 0 or p.hb < 0:
+                raise ValueError(f"density piece {p} needs a <= b and heights >= 0")
+        spans = sorted((p.a, p.b) for p in self.pieces)
+        if any(a2 < b1 for (_, b1), (a2, _) in zip(spans, spans[1:])):
+            raise ValueError("density pieces must not overlap")
         w = self.weighted_total()
         if (self.atoms or self.pieces) and not (0.0 < w < np.inf):
             raise ValueError("need 0 < int (1+|x|) V(dx) < inf")

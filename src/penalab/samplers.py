@@ -39,12 +39,12 @@ Two proposals are available for the bridge-length integral du / sqrt(2 pi u):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy import special
 
 from .paths import ConfigurationError, SamplePath, TimeGrid, WeightedPath
 from .sturm import PhiSolution
@@ -202,7 +202,7 @@ class WProposal:
 
     def validate(self, t_max: float) -> None:
         if self.kind == "gamma":
-            tail = float(special.erfc(np.sqrt(t_max / self.theta)))
+            tail = math.erfc(math.sqrt(t_max / self.theta))
             if tail >= GAMMA_TAIL_LIMIT:
                 raise ConfigurationError(
                     f"horizon t_max={t_max} too small for theta={self.theta}"

@@ -1,6 +1,9 @@
 """Configuration parsing and the command line surface."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -140,6 +143,9 @@ def test_cli_phi_subcommand(capsys):
     ("wedge:0:1:1", "unknown V token 'wedge:0:1:1'"),
     # well formed, but the Sturm box cannot hold it
     ("atom:30:1", "support of V must lie inside (-L/2, L/2)"),
+    # an inverted bump (inner > outer) and two overlapping boxes
+    ("bump:3:2:1", "needs a <= b and heights >= 0"),
+    ("box:-1:1:1,box:0:2:1", "density pieces must not overlap"),
 ])
 def test_cli_phi_rejects_malformed_spec(spec, expected, capsys):
     assert main(["phi", spec]) == 1
@@ -236,6 +242,41 @@ def test_cli_report_rejects_a_malformed_summary(tmp_path, capsys):
         assert err.startswith(f"{f}: ") and err.count("\n") == 1
 
 
+def test_cli_report_compare_lists_shifts_and_flags_a_flipped_verdict(tmp_path, capsys):
+    row = {"experiment": "x", "lhs_mean": 1.0, "lhs_se": 0.3, "rhs_mean": 0.5,
+           "rhs_se": 0.4, "tolerance": 2.0, "verdict": "PASS"}
+    runs = {"a": [row, dict(row, experiment="y")],
+            "b": [dict(row, lhs_mean=2.0), dict(row, experiment="y", verdict="FAIL")]}
+    for name, rows in runs.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(json.dumps({"rows": rows}))
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["report", "--compare", a, a]) == 0
+    capsys.readouterr()
+    assert main(["report", "--compare", a, b]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # x: lhs - rhs moved by 1.0 against a combined se of 0.5
+    assert out[1].split() == ["x", "+2", "se", "PASS"]
+    assert out[2].split() == ["y", "+0", "se", "PASS", "->", "FAIL"]
+    (tmp_path / "b" / "summary.json").write_text(json.dumps({"rows": [row]}))
+    assert main(["report", "--compare", a, b]) == 1
+    assert capsys.readouterr().out.splitlines()[2].split() == ["y", "only", "in", "A"]
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test oracle only: importing the CLI and verifying every
+    # experiment that once used it must leave no scipy module loaded
+    code = ("import sys, tempfile; from penalab import cli; from penalab.config import RunConfig; "
+            "cfg = RunConfig(dt=0.05, n_paths=8, master_seed=3, out_dir=tempfile.mkdtemp()); "
+            "cli.cmd_verify(cfg, ['w-oracle', 'exit-density', 'tau0', 'translation-identity', "
+            "'convex-moments', 'tail-transform']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=300).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_cli_worker_count_reproduces_means(tmp_path):
     outs = []
     for w in ("1", "2"):
@@ -274,16 +315,16 @@ def test_verify_deterministic_rows_keep_their_bytes(tmp_path):
         (["phi-atom", "tail-transform"],
          "82cae4918edd73517d46062061939eb22912d14cf7a01153b765833d5158152e",
          "23b5288e17d44407ac39be394c7e0e54bca98b48455cd74f9f3832711ceffc6f"),
-        # the battery without exit-density, recorded at commit a21980c, before
-        # the exit-density product side drew only the grid values it reads
+        # the battery without exit-density and the whole battery, re-recorded
+        # when the m0 integrals (w-oracle, tau0, the translation tail budget,
+        # the exit-density f=0 bins) and erf / erfc moved from scipy to closed
+        # forms and math: those rows and convex-moments moved in the last digits
         ([n for n in cli.BATTERY if n != "exit-density"],
-         "a2155352406da0b377d2b3ee550e27612cebca49b6a0be4bd9c97dd133e61117",
-         "c40c2b175b1e028af6158d547f7172359d111f7323cabafdc2a4e57f138c4142"),
-        # the whole battery, re-recorded when the exit-density product side
-        # began to draw only the grid values it reads; its 12 bin rows moved
+         "41eae52defd5852d96ca28c30846d24a38d3f525de23f201d7a866f284eec914",
+         "0a02e3d7e1c7f8ef5d9c619ede001d57f1291d2abbf4157d0cb153d06f23a509"),
         (cli.BATTERY,
-         "b4050e5df5dc4b39e2fe807c92d554f64047e89badb75c873e7b1c7279ab3faf",
-         "d269f50cb4761ba790945afebc18cd65500f7a8913730ba12b00503231ab516b"),
+         "77e82d83978039559d65d166f478ddbaca5b9cbee16672ccee378b16fe84231d",
+         "efc60b4a7d47b6f4bb0f0069308cb1a8cee60075bf6714c980fb53d3978bc3bb"),
     )
     for k, (names, csv_digest, rows_digest) in enumerate(cases):
         out = tmp_path / str(k)

@@ -2,6 +2,7 @@
 import hashlib
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -118,14 +119,14 @@ def test_cm_brownian_control_exact_zero():
 
 def test_envelope_rows_keep_their_bytes():
     # envelope_rows is not a CLI experiment, so no results.csv pins it; the
-    # digest was recorded at commit 74b774e, before its Bessel paths came
-    # from the shared chunk pass
+    # digest was re-recorded when abs_gauss_exp_moment moved from
+    # scipy.special to math.erfc, which moves its closed-form side
     rows = envelope_rows(RunConfig(dt=0.01, n_paths=320, master_seed=13))
     key = repr([(r.name, r.lhs.mean.hex(), r.lhs.std_error.hex(), r.rhs.mean.hex(),
                  r.rhs.std_error.hex(), r.tolerance.hex(), r.verdict, r.mode, r.note)
                 for r in rows])
     assert hashlib.sha256(key.encode()).hexdigest() == (
-        "c8700d4f8e5acdcfb7ac7510daa84e7b04aa9a36612282d616d68306bb1bb050")
+        "3417cf97172ff49f54d39eb41d9630f0394700e1d78c4a91faa8eb26d573df98")
 
 
 def test_exit_factors_follow_their_closed_forms():
@@ -236,3 +237,54 @@ def test_declared_gamma_proposals_are_the_drawn_ones(monkeypatch):
         # Integrand holds arrays and has no hash: compare by identity
         drifts = experiments._DRIFTS.get(name, ())
         assert {id(f) for f in snapped if not f.is_zero} == {id(f) for f in drifts}, name
+
+
+# -- closed forms of the m0 integrals, against 30-digit mpmath quadrature ----
+
+
+def _mp_m0(u):
+    return 1 / mp.sqrt(2 * mp.pi * u)
+
+
+@pytest.mark.parametrize("t_max", (0.5, 1.0, 2.0, 2.7, 4.0, 10.0, 40.0, 400.0))
+def test_translation_tail_budget_closed_form(t_max):
+    # step levels 0.1 .. 3 put c = 2 hbar^2 below and above 1, and t_max
+    # below and above both kinks of stay: every piece of the closed form
+    with mp.workdps(30):
+        for level in (0.1, 0.6, 1.0, 1.5, 3.0):
+            c = 2 * mp.mpf(level) ** 2
+
+            def integrand(u):
+                stay = min(1, c / max(u - mp.sqrt(u), 1))
+                return _mp_m0(u) * (stay / 2 + mp.exp(-mp.sqrt(u)))
+
+            kinks = [s * s for s in ((1 + mp.sqrt(5)) / 2, (1 + mp.sqrt(1 + 4 * c)) / 2)]
+            pts = [mp.mpf(t_max)] + sorted(k for k in kinks if k > t_max) + [mp.inf]
+            want = mp.quad(integrand, pts)
+            got = experiments._translation_tail_budget(Integrand.step([0.0, 1.0], [level]), t_max)
+            assert abs(got / want - 1) < 1e-13, (t_max, level)
+
+
+def test_tau0_tail_closed_form():
+    with mp.workdps(30):
+        for t_max in (0.5, 2.0, 4.0, 40.0, 400.0):
+            for x in (0.1, 0.5, 1.0, 2.0):
+                want = mp.quad(lambda u: _mp_m0(u) * (1 - mp.exp(-2 * mp.mpf(x) ** 2 / u)) / 2,
+                               [t_max, mp.inf])
+                for sx in (x, -x):
+                    assert abs(experiments._tau0_tail(sx, t_max) / want - 1) < 1e-13, (t_max, sx)
+    assert experiments._tau0_tail(0.0, 40.0) == 0.0
+
+
+def test_m0_masses_closed_form():
+    # w-oracle's right sides and all 12 exit-density bins
+    with mp.workdps(30):
+        for a in (0.5, 1.0, 2.0, 5.0, 10.0):
+            got = experiments._m0_mass(a, 0.0, float("inf"))
+            assert got == 1.0 / np.sqrt(2.0 * a)
+            want = mp.quad(lambda u: _mp_m0(u) * mp.exp(-a * u), [0, mp.inf])
+            assert abs(got / want - 1) < 1e-13, a
+        edges = np.arange(0.0, 6.5, 0.5)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            want = mp.quad(lambda u: _mp_m0(u) * mp.exp(-u), [lo, hi])
+            assert abs(experiments._m0_mass(1.0, lo, hi) / want - 1) < 1e-13, (lo, hi)

@@ -9,7 +9,7 @@ from penalab.functionals import (abs_gauss_exp_moment, bessel_mean,
                                  gaussian_envelope, local_time_signed,
                                  occupation_integral, phi_a, wiener_integral)
 from penalab.integrands import Integrand, MeasureSpec
-from penalab.paths import SamplePath, make_grid
+from penalab.paths import SamplePath, last_exit_index, make_grid
 from penalab.samplers import sample_W, substream, WProposal
 
 RNG = np.random.default_rng(321)
@@ -96,6 +96,27 @@ def test_fk_weight_on_sigma_finite_draw_stops_at_u():
     upto = np.exp(fk_log_weight(V, wp.path.values, 0.01, upto=ku))
     full = fk_weight(V, wp.path)
     assert full == pytest.approx(upto, rel=1e-12)
+
+
+def test_local_time_cut_after_the_last_exit():
+    # on a sigma-finite draw the level-0 local time is complete at index
+    # k + 1, k = last_exit_index: the step out of the exact 0 at k still
+    # counts, and adds 2 |v[k+1]| when the Bessel leg is negative
+    grid = make_grid(20.0, 0.01)
+    signs = set()
+    for i in range(40):
+        v = sample_W(WProposal(kind="heavy", theta=10.0), grid, substream(11, i)).path.values
+        k = last_exit_index(v)
+        if k >= grid.n - 1:
+            continue
+        signs.add(np.sign(v[k + 1]))
+        full = local_time_signed(v)
+        assert local_time_signed(v, upto=k + 1) == pytest.approx(full, abs=1e-12)
+        if v[k + 1] < 0:
+            cut = local_time_signed(v, upto=k)
+            assert full - cut == pytest.approx(2.0 * abs(v[k + 1]), abs=1e-12)
+            assert abs(full - cut) > 0.0
+    assert signs == {-1.0, 1.0}
 
 
 def test_wiener_integral_step_exact():
@@ -222,6 +243,19 @@ def test_f_phi_integral_exact_vs_quadrature():
     want = quad(lambda s: phi_a(1.5, s), 0, 1.0)[0]
     assert f_phi_integral(f, 1.5) == pytest.approx(want, rel=1e-5)
     assert f_phi_integral(Integrand.zero(), 0.0) == 0.0
+
+
+def test_phi_a_and_abs_gauss_exp_moment_match_scipy_special():
+    # math.erf and scipy's cephes erf differ by a few ulp at most
+    ts = np.geomspace(1e-3, 50.0, 200)
+    for a in (0.1, 1.0, 3.0):
+        want = special.erf(a / np.sqrt(2.0 * ts)) / a
+        np.testing.assert_allclose(phi_a(a, ts), want, rtol=1e-13, atol=0)
+        assert isinstance(phi_a(a, 0.7), float)
+    for b in (0.3, 1.0, -0.5, -5.0):
+        want = (np.exp(b * b / 2) * (2 - special.erfc(b / np.sqrt(2))) if b >= 0
+                else special.erfcx(-b / np.sqrt(2)))
+        assert abs_gauss_exp_moment(b) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_envelope_closed_form_and_trivial_tail():

@@ -128,8 +128,12 @@ def test_invalid_measures():
         MeasureSpec.point(0.0, -1.0)
     with pytest.raises(ValueError):
         MeasureSpec.point(0.0, 0.0)
+    with pytest.raises(ValueError):
+        MeasureSpec(pieces=(DensityPiece(0.0, 1.0, 1.0, -0.5),))
     # empty measure allowed as trivial kernel
     assert MeasureSpec().total_mass() == 0.0
+    # a plateau of zero width touches its neighbours without overlapping them
+    assert MeasureSpec.bump(0.0, 1.0, 1.0).total_mass() == pytest.approx(1.0)
 
 
 def test_density_piece_weighted_mass():
