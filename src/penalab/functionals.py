@@ -1,5 +1,5 @@
 """Path functionals: local times, Feynman-Kac weights, Wiener integrals,
-exponential densities, Bessel mean functions and tail envelopes.
+exponential densities, the Bessel mean inverse and tail envelopes.
 
 Array kernels accept a trailing path axis, so a (batch, n+1) matrix of paths
 evaluates in one call.  Integrands are step functions: Wiener integrals
@@ -23,8 +23,7 @@ __all__ = [
     "local_time_signed",
     "occupation_integral", "fk_log_weight",
     "wiener_integral", "exp_density",
-    "phi_a", "bessel_mean", "f_phi_integral",
-    "gaussian_envelope", "gaussian_envelope_gh",
+    "phi_a", "f_phi_integral", "gaussian_envelope",
     "abs_gauss_exp_moment",
 ]
 
@@ -51,9 +50,15 @@ def local_time_signed(values: np.ndarray, level: float = 0.0,
 
     Mean-exact for Brownian increments (the correction sum is a martingale);
     identically 0 on paths that never change sign around the level.  On a
-    sigma-finite draw the level-0 value is complete at upto = k + 1, with
-    k = last_exit_index: the step out of the exact 0 at k adds 2 |v[k+1]|
-    when the Bessel leg is negative, so upto = k is one step short.
+    sigma-finite draw, upto = k + 1 with k = last_exit_index reproduces the
+    level-0 full-path value: the step out of the exact 0 at k adds
+    2 |v[k+1]| when the Bessel leg is negative, so upto = k is one step
+    short.  That full-path value is itself biased as a Feynman-Kac weight:
+    the bridge's pinned end and the Bessel step out of 0 are not Brownian
+    increments, and exp(-lambda L) is not linear in L, so exp(-lambda L)
+    from signed increments misses W[exp(-lambda L)] (z = -4.0 at dt 0.01
+    and -3.2 at dt 1e-3 against the exact value, n 20 000, lambda = 1).
+    The fix is ROADMAP's open item on Feynman-Kac weights without grid bias.
     """
     v = np.asarray(values)
     if upto is not None:
@@ -116,7 +121,7 @@ def exp_density(f: Integrand, values: np.ndarray, dt: float,
     return np.exp(wiener_integral(f, values, dt, t=t) - 0.5 * f.l2sq_partial(tt))
 
 
-# -- Bessel mean functions ------------------------------------------------------
+# -- the Bessel mean inverse ----------------------------------------------------
 
 def phi_a(a: float, t) -> np.ndarray:
     """Mean inverse of the 3-d Bessel process at time t, started from a.
@@ -133,20 +138,6 @@ def phi_a(a: float, t) -> np.ndarray:
     else:
         out = _erf(a / np.sqrt(2.0 * t)) / a
     return out if out.ndim else float(out)
-
-
-def bessel_mean(a: float, t: float) -> float:
-    """m_a(t) = a + int_0^t phi_a(s) ds; the sqrt singularity at 0 is removed
-    by the substitution s = r^2."""
-    if t == 0.0:
-        return float(a)
-    if a == 0.0:
-        return float(np.sqrt(8.0 * t / np.pi))
-    r = np.linspace(0.0, np.sqrt(t), 4001)
-    integ = np.empty_like(r)
-    integ[0] = 0.0                      # 2 r phi_a(r^2) -> 0 as r -> 0
-    integ[1:] = 2.0 * r[1:] * phi_a(a, r[1:] ** 2)
-    return float(a + np.trapezoid(integ, r))
 
 
 def f_phi_integral(f: Integrand, a: float) -> float:
@@ -181,30 +172,16 @@ def abs_gauss_exp_moment(beta: float) -> float:
     return math.exp(x * x) * math.erfc(x)
 
 
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(96)
-
-
 def gaussian_envelope(f: Integrand, t: float) -> float:
     """E(t) = E[(exp(sigma_t |N| + c f~(t) + sigma_t^2/2) - 1)^2],
     c = sqrt(2/pi).
 
     Expanding the square reduces this to half-Gaussian exponential moments,
-    which is exact; the Gauss-Hermite variant below cross-checks it (the
-    |N| kink caps plain quadrature at ~0.1% accuracy)."""
+    which is exact; the tests cross-check it by Gauss-Hermite (the |N| kink
+    caps plain quadrature at ~0.1% accuracy)."""
     sig = f.tail_l2(t)
     b = _SQRT_2_OVER_PI * f.f_tilde(t) + 0.5 * sig * sig
     if sig == 0.0 and b == 0.0:
         return 0.0
     return float(np.exp(2.0 * b) * abs_gauss_exp_moment(2.0 * sig)
                  - 2.0 * np.exp(b) * abs_gauss_exp_moment(sig) + 1.0)
-
-
-def gaussian_envelope_gh(f: Integrand, t: float) -> float:
-    """Gauss-Hermite evaluation of the same expectation (test oracle)."""
-    sig = f.tail_l2(t)
-    b = _SQRT_2_OVER_PI * f.f_tilde(t) + 0.5 * sig * sig
-    if sig == 0.0 and b == 0.0:
-        return 0.0
-    z = np.sqrt(2.0) * _GH_NODES
-    g = (np.exp(sig * np.abs(z) + b) - 1.0) ** 2
-    return float(np.dot(_GH_WEIGHTS, g) / np.sqrt(np.pi))

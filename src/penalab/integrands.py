@@ -62,14 +62,6 @@ class Integrand:
     def is_zero(self) -> bool:
         return self.support_end == 0.0
 
-    def value(self, t) -> np.ndarray:
-        """f(t), right-continuous; 0 outside the support."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.breaks, t, side="right") - 1
-        ok = (idx >= 0) & (idx < len(self.levels))
-        out = np.where(ok, self.levels[np.clip(idx, 0, max(len(self.levels) - 1, 0))], 0.0)
-        return out if out.ndim else float(out)
-
     def grid_steps(self, dt: float, k_end: int) -> tuple:
         """((level, ka, kb), ...) for the nonzero pieces with their breakpoints
         snapped to the grid of step dt and capped at index k_end, empty ones
@@ -171,12 +163,6 @@ class DensityPiece:
     b: float
     ha: float
     hb: float
-
-    def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        lam = np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
-        inside = (x >= self.a) & (x < self.b)
-        return np.where(inside, self.ha + (self.hb - self.ha) * lam, 0.0)
 
     def mass(self) -> float:
         return 0.5 * (self.ha + self.hb) * (self.b - self.a)

@@ -30,9 +30,6 @@ class TimeGrid:
     dt: float
     n: int
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n + 1) * self.dt
-
     def index(self, t: float) -> int:
         """Grid index of t; t must lie on the grid within rounding."""
         k = int(round(t / self.dt))

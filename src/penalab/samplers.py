@@ -17,9 +17,9 @@ normals, global sign, Bessel normals.  Because the Bessel normals come last,
 a draw cut at a horizon index (``sample_W(..., need=k)``) is a bit-exact
 prefix of the full draw; it serves functionals that read the path only up
 to max(index(u), k), and its grid is the prefix's, not the horizon's.  With
-k = 0 the draw stops at the end of the bridge: w-oracle's matched-theta leg
-reads only g = u, while its first leg keeps full draws, on which it checks
-that the last exit equals u.  A draw can also grow its Bessel leg on demand
+k = 0 the draw stops at the end of the bridge: w-oracle's rows read only
+g = u, and it redraws the first 64 of those draws in full to check that the
+last exit equals u.  A draw can also grow its Bessel leg on demand
 (``sample_W(..., reach=r)``), block by block, until |path| first reaches r:
 tau0 reads only whether path + x hits 0 for |x| <= 1, which that step
 settles.

@@ -47,7 +47,6 @@ class PhiSolution:
     xs: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray            # left one-sided derivative at each node
-    jumps: tuple                # ((node_index, 2*lambda*phi jump), ...)
     C_V: float                  # inf phi, attained on the grid
     gamma_table: np.ndarray     # gamma(x) = int_0^x phi^-2, tabulated on xs
     V: MeasureSpec
@@ -151,8 +150,7 @@ def solve_phi(V: MeasureSpec, L: float = BOX_L, dx: float = DX) -> PhiSolution:
     k0 = int(round(L / dx))
     gamma = cum - cum[k0]
 
-    jumps = tuple((int(k), float(jump_at[k] * phi[k])) for k in np.nonzero(jump_at)[0])
-    return PhiSolution(xs=xs, phi=phi, dphi=dphi, jumps=jumps,
+    return PhiSolution(xs=xs, phi=phi, dphi=dphi,
                        C_V=float(phi.min()), gamma_table=gamma, V=V)
 
 

@@ -6,11 +6,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from penalab import experiments
+from penalab import estimator, experiments, samplers
 from penalab.config import RunConfig
 from penalab.estimator import derive_seed
 from penalab.experiments import BATTERY, REGISTRY, envelope_rows, run_experiment
 from penalab.integrands import Integrand
+from penalab.paths import last_exit_time
 from penalab.samplers import WProposal
 
 TOY = RunConfig(dt=1e-2, t_max=40.0, n_paths=600, master_seed=99)
@@ -32,25 +33,92 @@ def test_verdicts_are_reproducible():
 
 
 def test_w_oracle_matched_leg_draws_only_its_bridge(monkeypatch):
-    # the matched leg reads only g, so its draws stop at index(u); leg 1
-    # keeps full draws, on which it checks that the last exit is u
-    draws = []
-    real = experiments.sample_W
+    # every row that reads g reads it as u, so the alpha and matched legs
+    # stop each draw at index(u); only the first 64 substreams of the alpha
+    # leg's tag are redrawn in full, to check that the last exit is u
+    draws, streams = [], []
+    real_draw, real_stream = experiments.sample_W, estimator.substream
 
-    def spy(prop, grid, rng, need=None):
-        wp = real(prop, grid, rng, need=need)
-        draws.append((prop, grid, wp))
+    def spy_draw(prop, grid, rng, need=None):
+        wp = real_draw(prop, grid, rng, need=need)
+        draws.append((prop, grid, need, wp))
         return wp
 
-    monkeypatch.setattr(experiments, "sample_W", spy)
-    rows = run_experiment("w-oracle", RunConfig(dt=0.01, n_paths=320, master_seed=13))
+    def spy_stream(seed, index):
+        streams.append((seed, index))
+        return real_stream(seed, index)
+
+    monkeypatch.setattr(experiments, "sample_W", spy_draw)
+    monkeypatch.setattr(estimator, "substream", spy_stream)
+    cfg = RunConfig(dt=0.01, n_paths=320, master_seed=13)
+    rows = run_experiment("w-oracle", cfg)
     assert all(r.verdict == "PASS" for r in rows)
-    prop2 = WProposal.for_decay(2.0)
-    matched = [(g, wp) for p, g, wp in draws if p == prop2]
-    full = [(g, wp) for p, g, wp in draws if p != prop2]
-    assert len(matched) == len(full) == 1000
-    assert all(wp.path.grid.n == g.index(wp.u) for g, wp in matched)
-    assert all(wp.path.grid.n == g.n for g, wp in full)
+    assert len(draws) == len(streams) == 2064
+    seed = derive_seed(cfg.master_seed, "w-oracle")
+    legs = {}
+    for (prop, grid, need, wp), stream in zip(draws, streams):
+        legs.setdefault((prop, need), []).append((grid, wp, stream))
+    alpha = legs.pop((experiments._damped(cfg), 0))
+    full = legs.pop((experiments._damped(cfg), None))
+    matched = legs.pop((WProposal.for_decay(2.0), 0))
+    assert legs == {}
+    assert len(alpha) == len(matched) == 1000 and len(full) == 64
+    for g, wp, _ in alpha + matched:
+        assert wp.path.grid.n == g.index(wp.u)
+    assert [s for _, _, s in alpha] == [(seed, i) for i in range(1000)]
+    assert [s for _, _, s in full] == [(seed, i) for i in range(64)]
+    for (_, cut, _), (g, wp, _) in zip(alpha, full):
+        assert wp.path.grid.n == g.n
+        assert (cut.u, cut.weight, cut.censored) == (wp.u, wp.weight, wp.censored)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_w_oracle_alpha_leg_keeps_the_full_draw_sums(monkeypatch, n_workers):
+    # g equals u on every full draw, so the alpha sums over bridge-only
+    # draws keep every bit of the sums over full draws that read g
+    cfg = RunConfig(dt=0.01, n_paths=320, master_seed=13, n_workers=n_workers)
+    seed = derive_seed(cfg.master_seed, "w-oracle")
+    legs = []
+    real = experiments.run_chunked
+
+    def spy(n_paths, leg_seed, chunk_fn, workers=1):
+        accs = real(n_paths, leg_seed, chunk_fn, workers)
+        legs.append((n_paths, leg_seed, accs))
+        return accs
+
+    monkeypatch.setattr(experiments, "run_chunked", spy)
+    run_experiment("w-oracle", cfg)
+    [new] = [accs for n, s, accs in legs if (n, s) == (1000, seed)]
+
+    def full_fn(wp):
+        g = last_exit_time(wp.path).time
+        return {f"a{a}": wp.weight * np.exp(-a * g) for a in (1.0, 2.0, 5.0)}
+
+    old = real(1000, seed, experiments._w_pass(experiments._damped(cfg), cfg.grid(), full_fn),
+               n_workers)
+    assert sorted(old) == sorted(new) == ["a1.0", "a2.0", "a5.0"]
+    for k in old:
+        assert (old[k].s, old[k].q, old[k].n, old[k].cens) == \
+               (new[k].s, new[k].q, new[k].n, new[k].cens), k
+
+
+def test_w_oracle_structural_check_catches_a_broken_bessel_leg(monkeypatch):
+    # a Bessel leg whose second half changes sign has a last exit past u on
+    # every full draw; the bridge-only draws of the alpha rows never see it
+    real = samplers._bessel3_values
+
+    def broken(a, n, dt, rng, reach=None):
+        out = real(a, n, dt, rng, reach)
+        if n > 1:
+            out[len(out) // 2:] *= -1.0
+        return out
+
+    monkeypatch.setattr(samplers, "_bessel3_values", broken)
+    rows = run_experiment("w-oracle", RunConfig(dt=0.01, n_paths=320, master_seed=13))
+    named = {r.name: r for r in rows}
+    mism = named.pop("w-oracle/last-exit-equals-u")
+    assert (mism.verdict, mism.lhs.mean) == ("FAIL", 64.0)
+    assert len(named) == 4 and all(r.verdict == "PASS" for r in named.values())
 
 
 def test_cm_brownian_runs_one_leg_per_drift(monkeypatch):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from penalab.functionals import (abs_gauss_exp_moment, bessel_mean,
-                                 exp_density, f_phi_integral, fk_log_weight,
+from penalab.functionals import (abs_gauss_exp_moment, exp_density, f_phi_integral, fk_log_weight,
                                  gaussian_envelope, local_time_signed,
                                  occupation_integral, phi_a, wiener_integral)
 from penalab.integrands import Integrand, MeasureSpec
@@ -225,16 +224,6 @@ def test_phi_a_closed_forms():
         phi_a(1.0, 0.0)
 
 
-def test_bessel_mean_values():
-    assert bessel_mean(0.0, 1.0) == pytest.approx(np.sqrt(8 / np.pi))
-    assert bessel_mean(2.0, 0.0) == 2.0
-    assert bessel_mean(0.0, 4.0) == pytest.approx(np.sqrt(32 / np.pi))
-    # quadrature route for a > 0 agrees with direct integration
-    from scipy.integrate import quad
-    direct = 1.0 + quad(lambda s: phi_a(1.0, s), 0, 1.0)[0]
-    assert bessel_mean(1.0, 1.0) == pytest.approx(direct, rel=1e-6)
-
-
 def test_f_phi_integral_exact_vs_quadrature():
     f = Integrand.step([0.0, 1.0], [1.0])
     # a=0 closed form: sqrt(2/pi) * 2 sqrt(1)
@@ -287,8 +276,22 @@ def test_occupation_integral_matches_local_time_route():
     assert occ == pytest.approx(lt * 2.0, rel=0.05)
 
 
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(96)
+
+
+def gaussian_envelope_gh(f: Integrand, t: float) -> float:
+    """Gauss-Hermite evaluation of the expectation gaussian_envelope takes
+    in closed form."""
+    sig = f.tail_l2(t)
+    b = np.sqrt(2.0 / np.pi) * f.f_tilde(t) + 0.5 * sig * sig
+    if sig == 0.0 and b == 0.0:
+        return 0.0
+    z = np.sqrt(2.0) * _GH_NODES
+    g = (np.exp(sig * np.abs(z) + b) - 1.0) ** 2
+    return float(np.dot(_GH_WEIGHTS, g) / np.sqrt(np.pi))
+
+
 def test_envelope_gh_cross_check():
-    from penalab.functionals import gaussian_envelope_gh
     f = Integrand.step([0.0, 1.0], [0.5])
     for t in (0.0, 0.5):
         exact = gaussian_envelope(f, t)

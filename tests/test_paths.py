@@ -16,7 +16,7 @@ def path(vals, dt=0.5):
 def test_make_grid_basic():
     g = make_grid(1.0, 0.5)
     assert g.n == 2
-    np.testing.assert_allclose(g.times(), [0.0, 0.5, 1.0])
+    np.testing.assert_allclose(np.arange(g.n + 1) * g.dt, [0.0, 0.5, 1.0])
     assert make_grid(10.0, 0.001).n == 10000
 
 
@@ -38,7 +38,8 @@ def test_sample_path_invariants():
 
 def test_translate_zero_and_indicator():
     # a path X is translated to X + h, h = f.primitive_on_grid(times, T)
-    t = make_grid(2.0, 0.5).times()
+    g = make_grid(2.0, 0.5)
+    t = np.arange(g.n + 1) * g.dt
     np.testing.assert_array_equal(Integrand.zero().primitive_on_grid(t), np.zeros(5))
     f = Integrand.step([0.0, 1.0], [1.0])
     np.testing.assert_allclose(f.primitive_on_grid(t), [0.0, 0.5, 1.0, 1.0, 1.0])
@@ -49,7 +50,8 @@ def test_translate_zero_and_indicator():
 
 
 def test_translate_roundtrip():
-    t = make_grid(2.0, 0.01).times()
+    g = make_grid(2.0, 0.01)
+    t = np.arange(g.n + 1) * g.dt
     x = np.random.default_rng(5).standard_normal(len(t))
     f = Integrand.step([0.0, 0.4, 1.2], [1.3, -0.7])
     back = (x + f.primitive_on_grid(t)) + Integrand.step(f.breaks, -f.levels).primitive_on_grid(t)
@@ -58,14 +60,15 @@ def test_translate_roundtrip():
 
 def test_last_exit_cases():
     g = make_grid(2.0, 0.5)
+    t = np.arange(g.n + 1) * g.dt
     zero = SamplePath(g, np.zeros(g.n + 1))
     le = last_exit_time(zero)
     assert le.time == 2.0 and le.censored
-    lin = SamplePath(g, g.times())
+    lin = SamplePath(g, t)
     le = last_exit_time(lin)
     assert le.time == 0.0 and not le.censored
     # never returns to zero, never starts there
-    pos = SamplePath(g, 1.0 + g.times())
+    pos = SamplePath(g, 1.0 + t)
     assert last_exit_time(pos).time == 0.0
     # interior strict sign change resolves to the later grid point
     w = path([1.0, -1.0, 2.0, 5.0], dt=1.0)
@@ -80,16 +83,17 @@ def test_last_exit_cases():
 
 def test_hitting_cases():
     g = make_grid(1.0, 0.1)
+    t = np.arange(g.n + 1) * g.dt
     const = SamplePath(g, np.full(g.n + 1, 0.7))
     assert hitting_index(const.values, 0.7) * g.dt == 0.0
-    lin = SamplePath(g, g.times())
+    lin = SamplePath(g, t)
     assert hitting_index(lin.values, 0.5) * g.dt == 0.5
-    down = SamplePath(g, 1.0 - g.times())
+    down = SamplePath(g, 1.0 - t)
     assert hitting_index(down.values, 0.0) * g.dt == 1.0
     assert hitting_index(lin.values, 5.0) is None
     # levels between grid values resolve to the first point past them
     assert hitting_index(lin.values, 0.37) * g.dt == 0.4
-    steep = SamplePath(g, 1.0 - 2.0 * g.times())
+    steep = SamplePath(g, 1.0 - 2.0 * t)
     assert hitting_index(steep.values, -0.5) * g.dt == 0.8
     assert hitting_index(down.values, -0.5) is None        # never reaches it
     # identically zero path hits 0 at once

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from penalab.functionals import bessel_mean, exp_density
+from penalab.functionals import exp_density, phi_a
 from penalab.integrands import Integrand, MeasureSpec
 from penalab.paths import (ConfigurationError, hitting_index, last_exit_index,
                            last_exit_time, make_grid)
@@ -91,6 +91,30 @@ def test_bridge_endpoints_and_covariance():
         sample_bridge(0.0, dt, substream(2, 0))
     with pytest.raises(ValueError):
         sample_bridge(0.0015, 0.001, substream(2, 0))   # not a grid multiple
+
+
+def bessel_mean(a: float, t: float) -> float:
+    """m_a(t) = a + int_0^t phi_a(s) ds; the sqrt singularity at 0 is removed
+    by the substitution s = r^2."""
+    if t == 0.0:
+        return float(a)
+    if a == 0.0:
+        return float(np.sqrt(8.0 * t / np.pi))
+    r = np.linspace(0.0, np.sqrt(t), 4001)
+    integ = np.empty_like(r)
+    integ[0] = 0.0                      # 2 r phi_a(r^2) -> 0 as r -> 0
+    integ[1:] = 2.0 * r[1:] * phi_a(a, r[1:] ** 2)
+    return float(a + np.trapezoid(integ, r))
+
+
+def test_bessel_mean_values():
+    assert bessel_mean(0.0, 1.0) == pytest.approx(np.sqrt(8 / np.pi))
+    assert bessel_mean(2.0, 0.0) == 2.0
+    assert bessel_mean(0.0, 4.0) == pytest.approx(np.sqrt(32 / np.pi))
+    # quadrature route for a > 0 agrees with direct integration
+    from scipy.integrate import quad
+    direct = 1.0 + quad(lambda s: phi_a(1.0, s), 0, 1.0)[0]
+    assert bessel_mean(1.0, 1.0) == pytest.approx(direct, rel=1e-6)
 
 
 def test_bessel3_nonnegative_and_mean_curve():
@@ -246,7 +270,7 @@ def test_wv_drift_and_zero_drift_sanity():
     from penalab.sturm import PhiSolution
     xs = np.linspace(-50, 50, 101)
     flat = PhiSolution(xs=xs, phi=np.ones(101), dphi=np.zeros(101),
-                       jumps=(), C_V=1.0, gamma_table=xs - 0.0, V=MeasureSpec())
+                       C_V=1.0, gamma_table=xs - 0.0, V=MeasureSpec())
     d1 = sample_WV(0.0, flat, g, substream(10, 3))
     b1 = sample_bm(0.0, g, substream(10, 3))
     np.testing.assert_allclose(d1.path.values, b1.values, atol=1e-12)

@@ -32,9 +32,6 @@ def test_boundary_slopes_exact():
 def test_atom_jump_residuals():
     atoms = [(-1.0, 1.0), (0.5, 2.0)]
     sol = solve_phi(MeasureSpec.points(atoms), L=50.0, dx=1e-3)
-    for k, jump in sol.jumps:
-        lam = dict((x, l) for x, l in atoms)[round(sol.xs[k], 9)]
-        assert jump == pytest.approx(2.0 * lam * sol.phi[k], rel=1e-12)
     # derivative jump observed in the tabulated left-derivatives
     for loc, lam in atoms:
         k = int(round((loc + 50.0) / 1e-3))
@@ -173,4 +170,3 @@ def test_free_run_solver_is_bit_exact(monkeypatch, name, L, dx):
         a, b = getattr(got, field), getattr(want, field)
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), field
     assert got.C_V == want.C_V
-    assert got.jumps == want.jumps
