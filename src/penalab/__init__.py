@@ -6,9 +6,8 @@ from .estimator import EstimatorResult, IdentityCheck
 from .integrands import Integrand, MeasureSpec
 from .paths import SamplePath, TimeGrid, WeightedPath, last_exit_time, make_grid
 from .samplers import (WProposal, sample_bessel3, sample_bm, sample_bridge,
-                       sample_symmetrized_bessel, sample_W, sample_WV, substream)
-from .sturm import PhiSolution, atomic_phi_oracle, martingale_density, \
-    scale_gamma, solve_phi
+                       sample_symmetrized_bessel, sample_W, substream)
+from .sturm import PhiSolution, atomic_phi_oracle, scale_gamma, solve_phi
 
 __version__ = "0.1.0"
 
@@ -16,7 +15,6 @@ __all__ = [
     "RunConfig", "EstimatorResult", "IdentityCheck", "Integrand", "MeasureSpec",
     "SamplePath", "TimeGrid", "WeightedPath", "last_exit_time", "make_grid",
     "WProposal", "sample_bessel3", "sample_bm", "sample_bridge",
-    "sample_symmetrized_bessel", "sample_W", "sample_WV", "substream",
-    "PhiSolution", "atomic_phi_oracle", "martingale_density",
-    "scale_gamma", "solve_phi",
+    "sample_symmetrized_bessel", "sample_W", "substream",
+    "PhiSolution", "atomic_phi_oracle", "scale_gamma", "solve_phi",
 ]

@@ -20,7 +20,7 @@ from .config import RunConfig, config_from_sources
 from .estimator import IdentityCheck
 from .experiments import BATTERY, REGISTRY, _damped, check_horizon, run_experiment
 from .integrands import DensityPiece, MeasureSpec
-from .paths import make_grid
+from .paths import TimeGrid, make_grid
 from .samplers import sample_bessel3, sample_bm, sample_bridge, \
     sample_symmetrized_bessel, sample_W, substream
 from .sturm import PhiSolution, SolverError, scale_gamma, solve_phi
@@ -149,9 +149,8 @@ def cmd_phi(sol: PhiSolution) -> int:
     return 0
 
 
-def cmd_sample(cfg: RunConfig, kind: str, n_sample: int) -> int:
+def cmd_sample(cfg: RunConfig, kind: str, n_sample: int, grid: TimeGrid) -> int:
     run_dir = _run_dir(cfg)
-    grid = make_grid(min(cfg.t_max, 4.0), cfg.dt)
     cols = []
     meta = []
     for i in range(n_sample):
@@ -311,10 +310,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_sources(args.config, overrides)
         sol = solve_phi(_parse_vspec(args.vspec)) if args.command == "phi" else None
-        if args.command == "sample" and args.paths < 1:
-            raise ValueError(f"--paths must be at least 1, got {args.paths}")
-        if args.command == "sample" and args.kind == "w":
-            _damped(cfg).validate(cfg.t_max)
+        if args.command == "sample":
+            if args.paths < 1:
+                raise ValueError(f"--paths must be at least 1, got {args.paths}")
+            # the samples' horizon is capped at 4, and dt must divide it too
+            grid = make_grid(min(cfg.t_max, 4.0), cfg.dt)
+            if args.kind == "w":
+                _damped(cfg).validate(cfg.t_max)
         if args.command == "verify-all":
             args.names = BATTERY
         if args.command in ("verify", "verify-all"):
@@ -325,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "phi":
         return cmd_phi(sol)
     if args.command == "sample":
-        return cmd_sample(cfg, args.kind, args.paths)
+        return cmd_sample(cfg, args.kind, args.paths, grid)
     if args.command in ("verify", "verify-all"):
         return cmd_verify(cfg, list(dict.fromkeys(args.names)))
     raise AssertionError("unreachable")

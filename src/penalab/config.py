@@ -1,6 +1,7 @@
 """Run configuration: flat key=value files, env/flag overrides, validation."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -24,8 +25,10 @@ class RunConfig:
     out_dir: str = "penalab-out"
 
     def __post_init__(self):
-        if min(self.dt, self.t_max, self.theta) <= 0:
-            raise ValueError("all scale parameters must be positive")
+        for key in ("dt", "t_max", "theta"):
+            val = getattr(self, key)
+            if not (math.isfinite(val) and val > 0):
+                raise ValueError(f"{key} must be finite and positive, got {val}")
         if self.n_paths < MIN_PATHS:
             raise ValueError(f"n_paths must be at least {MIN_PATHS}, got {self.n_paths}:"
                              " the smallest legs run n_paths // 4 paths")

@@ -76,11 +76,12 @@ def _tau0_tail(x: float, t_max: float) -> float:
 def _phi_hat(V: MeasureSpec):
     """(phi callable, C_V, source note) for the tail normalizer.
 
-    Atoms at the origin admit the closed form 1/mass + |y| (the exact
-    strong-Markov tail identity); anything else uses the ODE solver."""
-    if not V.has_density and all(x == 0.0 for x, _ in V.atoms):
-        lam = V.total_mass()
-        return (lambda y: 1.0 / lam + np.abs(y)), 1.0 / lam, "closed-form"
+    A purely atomic V has the closed-form piecewise-linear normalizer (for
+    atoms at the origin, 1/mass + |y|, the exact strong-Markov tail
+    identity); anything else uses the ODE solver."""
+    if not V.has_density:
+        phi = atomic_phi_oracle(V.atoms)
+        return phi, phi.C_V, "closed-form"
     sol = solve_phi(V)
     return sol.phi_at, sol.C_V, "solver"
 
@@ -278,10 +279,7 @@ def exp_penal_limit(cfg: RunConfig) -> list[IdentityCheck]:
              ("V=two-atom/x=0", MeasureSpec.points([(-0.5, 1.0), (0.5, 1.0)]), 0.0)]
     rows = []
     for tag, V, x in cases:
-        if not V.has_density and all(loc == 0.0 for loc, _ in V.atoms):
-            target = 1.0 / V.total_mass() + abs(x)
-        else:
-            target = float(atomic_phi_oracle(V.atoms)(x))
+        target = float(_phi_hat(V)[0](x))
 
         def eval_matrix(X, V=V):
             return {"v": (factor * np.exp(fk_log_weight(V, X, cfg.dt)), None)}
@@ -375,31 +373,17 @@ def exp_markov(cfg: RunConfig) -> list[IdentityCheck]:
         # tau ^ T: the first visit to 1 within [0, T], else T
         hits = (hitting_index(row[: kT + 1], 1.0) for row in X)
         k_tau = np.array([kT if k is None else k for k in hits])
+        z_tau = _sigmoid(X[rowsn, k_tau])
         for tag, V in Vs:
             phi_f = phis[tag][0]
-            log_after_T = fk_log_weight(V, X, cfg.dt) - fk_log_weight(V, X, cfg.dt, upto=kT)
-            val = np.exp(log_after_T) * phi_f(X[:, -1])
+            log_k = fk_log_weight(V, X, cfg.dt)
+            tail = phi_f(X[:, -1])
+            val = np.exp(log_k - fk_log_weight(V, X, cfg.dt, upto=kT)) * tail
             for zn, z in _z_battery(X, kT):
                 out[f"{tag}/fixed/{zn}"] = (z * val, None)
-            # stopping-time variant needs the kernel accrued on (tau, U]
-            log_after_tau = np.zeros(X.shape[0])
-            for loc, lam in V.atoms:
-                v = X - loc
-                sgn = np.where(v[:, :-1] >= 0, 1.0, -1.0)
-                csum = np.concatenate(
-                    [np.zeros((X.shape[0], 1)), np.cumsum(sgn * np.diff(X, axis=1), axis=1)],
-                    axis=1)
-                l_seg = (np.abs(v[:, -1]) - np.abs(v[rowsn, k_tau])
-                         - (csum[:, -1] - csum[rowsn, k_tau]))
-                log_after_tau -= lam * l_seg
-            if V.has_density:
-                dens = V.density(X)
-                occ = np.concatenate(
-                    [np.zeros((X.shape[0], 1)),
-                     np.cumsum(0.5 * (dens[:, 1:] + dens[:, :-1]) * cfg.dt, axis=1)], axis=1)
-                log_after_tau -= occ[:, -1] - occ[rowsn, k_tau]
-            z_tau = _sigmoid(X[rowsn, k_tau])
-            out[f"{tag}/stopping"] = (z_tau * np.exp(log_after_tau) * phi_f(X[:, -1]), None)
+            # stopping-time variant: the kernel accrued on (tau, U]
+            log_after_tau = log_k - fk_log_weight(V, X, cfg.dt, upto=k_tau)
+            out[f"{tag}/stopping"] = (z_tau * np.exp(log_after_tau) * tail, None)
             out[f"{tag}/stopping-rhs-aux"] = (z_tau * phi_f(X[rowsn, k_tau]), None)
         return out
 

@@ -35,18 +35,28 @@ _erf = np.vectorize(math.erf, otypes=[float])
 
 @functools.lru_cache(maxsize=64)
 def _trapezoid_weights(m: int, dt: float) -> np.ndarray:
-    """Trapezoid weights of m nodes at step dt, built once per (m, dt) and
-    shared read-only."""
-    w = np.full(m, dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    """Trapezoid weights of m nodes at step dt (0 for one node), built once
+    per (m, dt) and shared read-only."""
+    w = np.zeros(m)
+    w[1:] += 0.5 * dt
+    w[:-1] += 0.5 * dt
     w.setflags(write=False)
     return w
 
 
+def _cut(values, upto):
+    """(paths up to the latest cut, each path's cut as a column, the earliest
+    cut) for ``upto``: one node index, one per path, or None for all nodes."""
+    v = np.asarray(values)
+    k = np.asarray(v.shape[-1] - 1 if upto is None else upto)
+    cuts = k.ravel().tolist()
+    return v[..., : max(cuts) + 1], k[..., None], min(cuts)
+
+
 def local_time_signed(values: np.ndarray, level: float = 0.0,
-                      upto: int | None = None) -> np.ndarray:
-    """Signed-increment estimator |X_t - y| - |X_0 - y| - sum sgn(X_i - y) dX_i.
+                      upto: int | np.ndarray | None = None) -> np.ndarray:
+    """Signed-increment estimator |X_t - y| - |X_0 - y| - sum sgn(X_i - y) dX_i,
+    up to node ``upto``: one index for every path or one per path.
 
     Mean-exact for Brownian increments (the correction sum is a martingale);
     identically 0 on paths that never change sign around the level.  On a
@@ -60,32 +70,36 @@ def local_time_signed(values: np.ndarray, level: float = 0.0,
     and -3.2 at dt 1e-3 against the exact value, n 20 000, lambda = 1).
     The fix is ROADMAP's open item on Feynman-Kac weights without grid bias.
     """
-    v = np.asarray(values)
-    if upto is not None:
-        v = v[..., : upto + 1]
+    v, k, k0 = _cut(values, upto)
     if level != 0.0:                 # x - 0.0 is x, bit for bit
         v = v - level
+    dv = v[..., 1:] - v[..., :-1]
     sgn = np.where(v[..., :-1] >= 0, 1.0, -1.0)
-    corr = np.einsum("...i,...i->...", sgn, np.diff(v, axis=-1))
-    return np.abs(v[..., -1]) - np.abs(v[..., 0]) - corr
+    # past the earliest cut, each path keeps the steps before its own cut
+    live = np.arange(k0, dv.shape[-1]) < k
+    sgn[..., k0:] *= live
+    end = v[..., k0] + np.vecdot(dv[..., k0:], live)
+    return np.abs(end) - np.abs(v[..., 0]) - np.einsum("...i,...i->...", sgn, dv)
 
 
 # -- Feynman-Kac weights ------------------------------------------------------
 
 def occupation_integral(values: np.ndarray, dt: float, V: MeasureSpec,
-                        upto: int | None = None) -> np.ndarray:
-    """int_0^t v(X_s) ds for the density part of V, trapezoidal."""
-    v = np.asarray(values)
-    if upto is not None:
-        v = v[..., : upto + 1]
+                        upto: int | np.ndarray | None = None) -> np.ndarray:
+    """int_0^t v(X_s) ds for the density part of V, trapezoidal, up to node
+    ``upto`` as in ``local_time_signed``: the trapezoid to the earliest cut
+    plus each path's own steps from there to its cut."""
+    v, k, k0 = _cut(values, upto)
     dens = V.density(v)
-    w = _trapezoid_weights(v.shape[-1], dt)
-    return dens @ w
+    live = np.arange(k0, dens.shape[-1] - 1) < k
+    steps = np.vecdot(dens[..., k0:-1] + dens[..., k0 + 1:], live)
+    return dens[..., : k0 + 1] @ _trapezoid_weights(k0 + 1, dt) + 0.5 * dt * steps
 
 
 def fk_log_weight(V: MeasureSpec, values: np.ndarray, dt: float,
-                  upto: int | None = None) -> np.ndarray:
-    """log K_t(V; X) = -sum_k lambda_k L_t^{x_k} - int_0^t v(X_s) ds."""
+                  upto: int | np.ndarray | None = None) -> np.ndarray:
+    """log K_t(V; X) = -sum_k lambda_k L_t^{x_k} - int_0^t v(X_s) ds, up to
+    node ``upto`` as in ``local_time_signed``."""
     out = 0.0
     for loc, lam in V.atoms:
         out = out - lam * local_time_signed(values, level=loc, upto=upto)

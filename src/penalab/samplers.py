@@ -41,18 +41,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .paths import ConfigurationError, SamplePath, TimeGrid, WeightedPath
-from .sturm import PhiSolution
 
 __all__ = [
     "substream", "WProposal",
     "sample_bm", "sample_bridge", "sample_bessel3", "sample_symmetrized_bessel",
-    "sample_W", "sample_WV", "DiffusionDraw",
+    "sample_W",
 ]
 
 GAMMA_TAIL_LIMIT = 1e-6
@@ -256,29 +254,3 @@ def sample_W(proposal: WProposal, grid: TimeGrid, rng: np.random.Generator,
     v[ku] = 0.0
     path = SamplePath(grid=grid if m == grid.n else grid.restricted(m), values=v)
     return WeightedPath(path=path, weight=w, u=ku * grid.dt, censored=censored)
-
-
-class DiffusionDraw(NamedTuple):
-    path: SamplePath
-    exited: bool        # left the tabulated phi domain; discard per contract
-
-
-def sample_WV(x0: float, sol: PhiSolution, grid: TimeGrid,
-              rng: np.random.Generator) -> DiffusionDraw:
-    """Euler-Maruyama for dX = dB + (phi'/phi)(X) dt started at x0.
-
-    The drift is bounded by 1/C_V, so plain Euler is adequate; exiting the
-    tabulated spatial domain only flags the draw."""
-    n, dt = grid.n, grid.dt
-    dB = rng.standard_normal(n) * np.sqrt(dt)
-    v = np.empty(n + 1)
-    v[0] = x0
-    lim = sol.L - 1.0
-    exited = False
-    x = x0
-    for i in range(n):
-        x = x + sol.drift_at(x) * dt + dB[i]
-        if abs(x) > lim:
-            exited = True
-        v[i + 1] = x
-    return DiffusionDraw(path=SamplePath(grid=grid, values=v), exited=exited)

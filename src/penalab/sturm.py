@@ -26,12 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import fk_log_weight
 from .integrands import MeasureSpec
-from .paths import SamplePath
 
-__all__ = ["PhiSolution", "solve_phi", "scale_gamma", "martingale_density",
-           "atomic_phi_oracle", "BOX_L", "DX"]
+__all__ = ["PhiSolution", "solve_phi", "scale_gamma", "atomic_phi_oracle", "BOX_L", "DX"]
 
 BOX_L = 50.0                    # the solve box is [-BOX_L, BOX_L]
 DX = 1e-3                       # its step
@@ -49,15 +46,6 @@ class PhiSolution:
     dphi: np.ndarray            # left one-sided derivative at each node
     C_V: float                  # inf phi, attained on the grid
     gamma_table: np.ndarray     # gamma(x) = int_0^x phi^-2, tabulated on xs
-    V: MeasureSpec
-
-    @property
-    def L(self) -> float:
-        return float(self.xs[-1])
-
-    @property
-    def dx(self) -> float:
-        return float(self.xs[1] - self.xs[0])
 
     def phi_at(self, y) -> np.ndarray:
         out = np.interp(y, self.xs, self.phi)
@@ -77,10 +65,6 @@ class PhiSolution:
         out = np.where(y > self.xs[-1], 1.0, out)
         out = np.where(y < self.xs[0], -1.0, out)
         return out if out.ndim else float(out)
-
-    def drift_at(self, y) -> np.ndarray:
-        """phi'/phi, the diffusion drift of the penalised process."""
-        return self.dphi_at(y) / self.phi_at(y)
 
 
 def _integrate(g: np.ndarray, jump_at: np.ndarray, dx: float,
@@ -151,20 +135,13 @@ def solve_phi(V: MeasureSpec, L: float = BOX_L, dx: float = DX) -> PhiSolution:
     gamma = cum - cum[k0]
 
     return PhiSolution(xs=xs, phi=phi, dphi=dphi,
-                       C_V=float(phi.min()), gamma_table=gamma, V=V)
+                       C_V=float(phi.min()), gamma_table=gamma)
 
 
 def scale_gamma(sol: PhiSolution, x) -> np.ndarray:
     """gamma_V(x) = int_0^x phi^-2, by trapezoid on the solution grid."""
     out = np.interp(x, sol.xs, sol.gamma_table)
     return out if np.ndim(x) else float(out)
-
-
-def martingale_density(sol: PhiSolution, path: SamplePath, t: float) -> float:
-    """M_t = phi(X_t)/phi(X_0) * K_t(V; X)."""
-    k = path.grid.index(t)
-    kt = np.exp(fk_log_weight(sol.V, path.values, path.dt, upto=k))
-    return float(sol.phi_at(path.values[k]) / sol.phi_at(path.values[0]) * kt)
 
 
 def atomic_phi_oracle(atoms) -> "AtomicPhi":

@@ -29,6 +29,26 @@ def test_config_defaults_and_validation():
         RunConfig(dt=0.3, t_max=1.0)       # horizon not a multiple of dt
 
 
+@pytest.mark.parametrize("key", ["dt", "t_max", "theta"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_scale_settings_must_be_finite_and_positive(key, bad):
+    with pytest.raises(ValueError, match=f"^{key} must be finite and positive"):
+        RunConfig(**{key: bad})
+
+
+def test_cli_rejects_non_finite_settings_before_any_run(tmp_path, capsys):
+    # nan from a flag, inf from a config file: one line naming the key, exit
+    # 1, no run directory
+    out = tmp_path / "out"
+    assert main(["--theta", "nan", "--out", str(out), "verify", "tau0"]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: theta must be finite")
+    p = tmp_path / "run.cfg"
+    p.write_text("dt=0.01\nt_max=inf\nn_paths=100\nmaster_seed=1\n")
+    assert main(["--config", str(p), "--out", str(out), "verify", "tau0"]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: t_max must be finite")
+    assert not out.exists()
+
+
 def test_master_seed_must_fit_a_philox_key_word(capsys):
     RunConfig(master_seed=0)
     RunConfig(master_seed=2 ** 64 - 1)
@@ -181,6 +201,14 @@ def test_cli_sample_rejects_nonpositive_path_count(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []              # no run directory made
 
 
+def test_cli_sample_rejects_a_dt_off_its_grid_before_any_run(tmp_path, capsys):
+    # the samples' horizon is min(t_max, 4): dt = 0.32 divides 40 but not 4
+    assert main(["--dt", "0.32", "--out", str(tmp_path), "sample", "bm"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "dt=0.32" in err
+    assert list(tmp_path.iterdir()) == []              # no run directory made
+
+
 def test_cli_rejects_too_few_paths_for_every_leg(tmp_path, capsys):
     # the smallest legs run n_paths // 4 paths: below 4 one of them has none
     for n in ("3", "1"):
@@ -315,16 +343,17 @@ def test_verify_deterministic_rows_keep_their_bytes(tmp_path):
         (["phi-atom", "tail-transform"],
          "82cae4918edd73517d46062061939eb22912d14cf7a01153b765833d5158152e",
          "23b5288e17d44407ac39be394c7e0e54bca98b48455cd74f9f3832711ceffc6f"),
-        # the battery without exit-density and the whole battery, re-recorded
-        # when the m0 integrals (w-oracle, tau0, the translation tail budget,
-        # the exit-density f=0 bins) and erf / erfc moved from scipy to closed
-        # forms and math: those rows and convex-moments moved in the last digits
+        # the battery without exit-density and the whole battery; the rows
+        # digests were re-recorded when markov's stopping rows took the
+        # kernel after tau as the whole-path minus the per-path-cut
+        # Feynman-Kac log weight instead of differences of prefix sums:
+        # those 3 rows moved by at most 4.2e-15 relative, results.csv did not
         ([n for n in cli.BATTERY if n != "exit-density"],
          "41eae52defd5852d96ca28c30846d24a38d3f525de23f201d7a866f284eec914",
-         "0a02e3d7e1c7f8ef5d9c619ede001d57f1291d2abbf4157d0cb153d06f23a509"),
+         "37c5f128ed73f8b321bf0358f255e69eb64f8b0633e06f7036de4a51fa0b1d5d"),
         (cli.BATTERY,
          "77e82d83978039559d65d166f478ddbaca5b9cbee16672ccee378b16fe84231d",
-         "efc60b4a7d47b6f4bb0f0069308cb1a8cee60075bf6714c980fb53d3978bc3bb"),
+         "437450a4b947ec8d1d7729f18a8b5daeecea6cf211bb6007a89e3044419926ae"),
     )
     for k, (names, csv_digest, rows_digest) in enumerate(cases):
         out = tmp_path / str(k)

@@ -8,7 +8,7 @@ from penalab.functionals import (abs_gauss_exp_moment, exp_density, f_phi_integr
                                  gaussian_envelope, local_time_signed,
                                  occupation_integral, phi_a, wiener_integral)
 from penalab.integrands import Integrand, MeasureSpec
-from penalab.paths import SamplePath, last_exit_index, make_grid
+from penalab.paths import SamplePath, hitting_index, last_exit_index, make_grid
 from penalab.samplers import sample_W, substream, WProposal
 
 RNG = np.random.default_rng(321)
@@ -116,6 +116,82 @@ def test_local_time_cut_after_the_last_exit():
             assert full - cut == pytest.approx(2.0 * abs(v[k + 1]), abs=1e-12)
             assert abs(full - cut) > 0.0
     assert signs == {-1.0, 1.0}
+
+
+_CUT_VS = (("box", MeasureSpec.box(-1.0, 1.0, 1.0)),
+           ("two-atom", MeasureSpec.points([(-0.5, 1.0), (0.5, 2.0)])))
+
+
+def test_per_path_cut_matches_each_paths_scalar_cut():
+    # one cut per path is one masked pass; each row must agree with its own
+    # scalar cut, including a zero-length cut and a cut at the horizon
+    dt = 0.01
+    X = bm_matrix(64, 200, dt, seed=57)
+    ks = np.random.default_rng(58).integers(0, 201, size=64)
+    ks[:4] = (0, 200, 1, 199)
+    for level in (0.0, 0.5):
+        got = local_time_signed(X, level=level, upto=ks)
+        want = [local_time_signed(x, level=level, upto=k) for x, k in zip(X, ks)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    V = MeasureSpec.box(-1.0, 1.0, 1.0)
+    got = occupation_integral(X, dt, V, upto=ks)
+    want = [occupation_integral(x, dt, V, upto=k) for x, k in zip(X, ks)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    for _, V in _CUT_VS:
+        got = fk_log_weight(V, X, dt, upto=ks)
+        want = [fk_log_weight(V, x, dt, upto=k) for x, k in zip(X, ks)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    # the same cut for every path, given per path, is the scalar cut
+    np.testing.assert_allclose(local_time_signed(X, upto=np.full(64, 120)),
+                               local_time_signed(X, upto=120), rtol=0, atol=1e-13)
+
+
+def test_zero_length_cut_is_exactly_zero():
+    dt = 0.1
+    x = np.zeros(11)                       # inside the box, where v = 1
+    box = MeasureSpec.box(-1.0, 1.0, 1.0)
+    assert occupation_integral(x, dt, box, upto=0) == 0.0
+    assert occupation_integral(x, dt, box, upto=1) == pytest.approx(dt, abs=1e-15)
+    X = bm_matrix(8, 10, dt, seed=59)
+    np.testing.assert_array_equal(occupation_integral(X, dt, box, upto=np.zeros(8, int)), 0.0)
+    for _, V in _CUT_VS:
+        np.testing.assert_array_equal(fk_log_weight(V, X, dt, upto=np.zeros(8, int)), 0.0)
+        np.testing.assert_array_equal(fk_log_weight(V, X, dt, upto=0), 0.0)
+        np.testing.assert_array_equal(local_time_signed(X, level=0.5, upto=0), 0.0)
+
+
+def _log_kernel_after(V, X, dt, k):
+    """log K(V) accrued on (k, end] per row, from prefix sums of the signed
+    increments and of the trapezoid steps: the formula markov's stopping
+    row once built by hand, kept as the oracle for the per-path cut."""
+    rows = np.arange(X.shape[0])
+    out = np.zeros(X.shape[0])
+    for loc, lam in V.atoms:
+        v = X - loc
+        sgn = np.where(v[:, :-1] >= 0, 1.0, -1.0)
+        csum = np.concatenate(
+            [np.zeros((X.shape[0], 1)), np.cumsum(sgn * np.diff(X, axis=1), axis=1)], axis=1)
+        out -= lam * (np.abs(v[:, -1]) - np.abs(v[rows, k]) - (csum[:, -1] - csum[rows, k]))
+    if V.has_density:
+        dens = V.density(X)
+        occ = np.concatenate(
+            [np.zeros((X.shape[0], 1)),
+             np.cumsum(0.5 * (dens[:, 1:] + dens[:, :-1]) * dt, axis=1)], axis=1)
+        out -= occ[:, -1] - occ[rows, k]
+    return out
+
+
+def test_kernel_after_a_stopping_index_matches_prefix_sums():
+    # markov's stopping row: tau ^ T with tau the first visit to 1
+    dt, kT = 0.01, 100
+    X = bm_matrix(256, 1000, dt, seed=60)
+    hits = (hitting_index(row[: kT + 1], 1.0) for row in X)
+    k_tau = np.array([kT if k is None else k for k in hits])
+    assert 0 < np.count_nonzero(k_tau < kT) < 256
+    for V in (MeasureSpec.point(0.0, 1.0), MeasureSpec.point(0.0, 2.0),
+              MeasureSpec.box(-1.0, 1.0, 1.0), *(V for _, V in _CUT_VS)):
+        got = fk_log_weight(V, X, dt) - fk_log_weight(V, X, dt, upto=k_tau)
+        np.testing.assert_allclose(got, _log_kernel_after(V, X, dt, k_tau), rtol=1e-12, atol=1e-12)
 
 
 def test_wiener_integral_step_exact():

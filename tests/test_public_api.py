@@ -47,9 +47,13 @@ _READ_OUTSIDE_SRC = {"envelope_rows", "replaced"}
 
 
 def _names_read_in_src() -> set:
-    """Every name loaded, attribute read or name imported in src/penalab."""
+    """Every name loaded, attribute read or name imported in src/penalab,
+    except the package's own re-exports: a name that __init__.py only passes
+    on is read by no module."""
     read = set()
     for path in Path(penalab.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
         for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)

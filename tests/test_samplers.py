@@ -3,13 +3,12 @@ import numpy as np
 import pytest
 
 from penalab.functionals import exp_density, phi_a
-from penalab.integrands import Integrand, MeasureSpec
+from penalab.integrands import Integrand
 from penalab.paths import (ConfigurationError, hitting_index, last_exit_index,
                            last_exit_time, make_grid)
 from penalab.samplers import (WProposal, _PhiloxKey, sample_bessel3, sample_bm,
                               sample_bridge, sample_symmetrized_bessel,
-                              sample_W, sample_WV, substream)
-from penalab.sturm import solve_phi
+                              sample_W, substream)
 
 
 def test_substream_determinism():
@@ -252,28 +251,6 @@ def test_heavy_proposal_weight_density_identity():
         assert 0.0 < u <= t_max and not c
         q = np.sqrt(theta) / (np.pi * np.sqrt(u) * (theta + u)) / F
         assert w * q == pytest.approx(1.0 / np.sqrt(2 * np.pi * u), rel=1e-12)
-
-
-def test_wv_drift_and_zero_drift_sanity():
-    sol = solve_phi(MeasureSpec.point(0.0, 2.0), L=50.0, dx=1e-3)
-    # drift = sgn(x) / (1/lambda + |x|)
-    for x in (-2.0, -0.5, 0.5, 2.0):
-        want = np.sign(x) / (0.5 + abs(x))
-        assert sol.drift_at(x) == pytest.approx(want, abs=1e-5)
-    assert abs(sol.drift_at(20.0) - 1.0 / 20.5) < 1e-6  # Bessel-like far out
-    # Euler-Maruyama with the solved drift stays in the domain and moves out
-    g = make_grid(1.0, 1e-2)
-    draw = sample_WV(0.0, sol, g, substream(10, 0))
-    assert not draw.exited
-    assert len(draw.path.values) == g.n + 1
-    # flat phi means zero drift: reduces to Brownian increments
-    from penalab.sturm import PhiSolution
-    xs = np.linspace(-50, 50, 101)
-    flat = PhiSolution(xs=xs, phi=np.ones(101), dphi=np.zeros(101),
-                       C_V=1.0, gamma_table=xs - 0.0, V=MeasureSpec())
-    d1 = sample_WV(0.0, flat, g, substream(10, 3))
-    b1 = sample_bm(0.0, g, substream(10, 3))
-    np.testing.assert_allclose(d1.path.values, b1.values, atol=1e-12)
 
 
 def _philox_words(gen):

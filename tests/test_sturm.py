@@ -7,8 +7,7 @@ from penalab.functionals import fk_log_weight
 from penalab.integrands import MeasureSpec
 from penalab.paths import SamplePath, make_grid
 from penalab.samplers import sample_bm, substream
-from penalab.sturm import (SolverError, atomic_phi_oracle, martingale_density,
-                           scale_gamma, solve_phi)
+from penalab.sturm import SolverError, atomic_phi_oracle, scale_gamma, solve_phi
 
 
 def test_single_atom_closed_form():
@@ -78,17 +77,25 @@ def test_solver_rejections():
         solve_phi(MeasureSpec(), L=50.0)             # V = 0 inconsistent
 
 
+def martingale_density(sol, V, path: SamplePath, t: float) -> float:
+    """M_t = phi(X_t)/phi(X_0) * K_t(V; X), the density of the penalised law
+    against Wiener measure on F_t."""
+    k = path.grid.index(t)
+    kt = np.exp(fk_log_weight(V, path.values, path.dt, upto=k))
+    return float(sol.phi_at(path.values[k]) / sol.phi_at(path.values[0]) * kt)
+
+
 def test_martingale_density_unit_start_and_mean():
     V = MeasureSpec.point(0.0, 1.0)
     sol = solve_phi(V, L=50.0, dx=1e-3)
     g = make_grid(1.0, 1e-3)
     p = sample_bm(0.3, g, substream(77, 0))
-    assert martingale_density(sol, p, 0.0) == pytest.approx(1.0, rel=1e-9)
+    assert martingale_density(sol, V, p, 0.0) == pytest.approx(1.0, rel=1e-9)
     N = 3000
     vals = np.empty(N)
     for i in range(N):
         q = sample_bm(0.3, g, substream(78, i))
-        vals[i] = martingale_density(sol, q, 1.0)
+        vals[i] = martingale_density(sol, V, q, 1.0)
     se = vals.std() / np.sqrt(N)
     assert abs(vals.mean() - 1.0) <= 4 * se + 0.5 * np.sqrt(1e-3)
 
@@ -101,10 +108,20 @@ def test_martingale_density_median_decays():
     N = 400
     med = []
     for t in (1.0, 4.0, 16.0):
-        vals = [martingale_density(sol, sample_bm(0.0, g, substream(79, i)), t)
+        vals = [martingale_density(sol, V, sample_bm(0.0, g, substream(79, i)), t)
                 for i in range(N)]
         med.append(np.median(vals))
     assert med[0] > med[1] > med[2]
+
+
+def test_penalised_drift_is_dphi_over_phi():
+    # the penalised process has drift phi'/phi = sgn(x) / (1/lambda + |x|)
+    # for V = lambda delta_0, Bessel-like far out
+    sol = solve_phi(MeasureSpec.point(0.0, 2.0), L=50.0, dx=1e-3)
+    for x in (-2.0, -0.5, 0.5, 2.0):
+        want = np.sign(x) / (0.5 + abs(x))
+        assert sol.dphi_at(x) / sol.phi_at(x) == pytest.approx(want, abs=1e-5)
+    assert abs(sol.dphi_at(20.0) / sol.phi_at(20.0) - 1.0 / 20.5) < 1e-6
 
 
 def test_phi_interpolation_beyond_box():
@@ -112,17 +129,6 @@ def test_phi_interpolation_beyond_box():
     # linear continuation with unit slope outside [-L, L]
     assert sol.phi_at(60.0) == pytest.approx(sol.phi_at(50.0) + 10.0, rel=1e-12)
     assert sol.dphi_at(-70.0) == -1.0
-
-
-def test_fk_consistency_with_martingale_density():
-    V = MeasureSpec.points([(0.0, 1.0), (0.5, 0.5)])
-    sol = solve_phi(V, L=50.0, dx=1e-3)
-    g = make_grid(2.0, 1e-3)
-    p = sample_bm(0.0, g, substream(80, 1))
-    m = martingale_density(sol, p, 2.0)
-    k = np.exp(fk_log_weight(V, p.values, p.dt, upto=p.grid.index(2.0)))
-    want = sol.phi_at(p.values[-1]) / sol.phi_at(0.0) * k
-    assert m == pytest.approx(want, rel=1e-12)
 
 
 def _whole_grid_integrate(g, jump_at, dx, y0, p0):
