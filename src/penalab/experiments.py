@@ -26,8 +26,8 @@ from .estimator import (Z_ONE_SIDED, Z_TWO_SIDED, EstimatorResult, IdentityCheck
                         bessel_chunk_pass, bm_chunk_pass, derive_seed, path_pass,
                         run_chunked)
 from .functionals import (abs_gauss_exp_moment, exp_density, f_phi_integral,
-                          fk_log_weight, gaussian_envelope, local_time_signed,
-                          occupation_integral, phi_a, wiener_integral)
+                          fk_log_weight, fk_log_weights, gaussian_envelope,
+                          local_time_signed, phi_a, wiener_integral)
 from .integrands import Integrand, MeasureSpec
 from .paths import TimeGrid, hitting_index, last_exit_index, last_exit_time
 from .samplers import WProposal, _bridge_values, sample_W, substream
@@ -46,6 +46,7 @@ F_SIGNED = Integrand.step([0.0, 1.0, 2.0], [0.6, -0.6])
 V_D0 = MeasureSpec.point(0.0, 1.0)
 V_2D0 = MeasureSpec.point(0.0, 2.0)
 V_BOX = MeasureSpec.box(-1.0, 1.0, 1.0)
+V_PLATEAU = MeasureSpec.bump()          # dominates V_BOX under domination's shifts
 
 
 def _sigmoid(x):
@@ -135,7 +136,6 @@ _GAMMA_PROPOSALS = {
     "w-oracle": lambda cfg: (_damped(cfg), _MATCHED),
     "exit-density": lambda cfg: (_damped(cfg),),
     "tail-vanishing": lambda cfg: (_damped(cfg),),
-    "domination": lambda cfg: (_damped(cfg),),
 }
 
 # the nonzero drifts whose Wiener integrals each experiment takes; their
@@ -528,7 +528,10 @@ def exp_translation_identity(cfg: RunConfig) -> list[IdentityCheck]:
     fs = {ftag.split("/")[0]: f for ftag, f, _, _ in _MAIN_COMBOS}
     hs = {fkey: _grid_h(f, n, cfg.dt) for fkey, f in fs.items()}
     trunc_ts = (0.5, 3.0)
-    h_trunc = {f"T={T}": _grid_h(F_HALF, n, cfg.dt, T=T) for T in trunc_ts}
+    shifts = hs | {f"T={T}": _grid_h(F_HALF, n, cfg.dt, T=T) for T in trunc_ts}
+    # a shift equal bit for bit to an earlier one reads its path: T=3.0 is f=half's
+    first = {}
+    same = {"X": "X"} | {key: first.setdefault(h.tobytes(), key) for key, h in shifts.items()}
 
     def fn(wp):
         X = wp.path.values
@@ -536,13 +539,14 @@ def exp_translation_identity(cfg: RunConfig) -> list[IdentityCheck]:
         # each distinct path once: X, X + h per drift f, X + h^T per T;
         # exp(-g) K(V) once per (V, path)
         paths = {"X": X}
-        paths.update((key, X + h) for key, h in (hs | h_trunc).items())
+        paths.update((key, X + shifts[key]) for key in first.values())
         exits = {key: last_exit_index(v) for key, v in paths.items()}
         gammas = {}
 
         def gamma(V, key):
             # keyed by id(V): a MeasureSpec key would hash all its fields
             # on every lookup
+            key = same[key]
             memo = (id(V), key)
             if memo not in gammas:
                 gammas[memo] = float(np.exp(-exits[key] * cfg.dt
@@ -755,16 +759,13 @@ def exp_nondeg_bound(cfg: RunConfig) -> list[IdentityCheck]:
     grid = cfg.grid()
     combos = (("f=0/V=d0", F_ZERO, V_D0), ("f=half/V=d0", F_HALF, V_D0),
               ("f=half/V=2d0", F_HALF, V_2D0), ("f=step3/V=box", F_STEP3, V_BOX))
+    Vs = (V_D0, V_2D0, V_BOX)   # K(V) once per V, one level-0 local time for both atoms
 
     def fn(wp):
         X = wp.path.values
-        out = {}
-        kvs = {}                     # K(V) once per distinct V on this draw
-        for tag, f, V in combos:
-            if id(V) not in kvs:
-                kvs[id(V)] = np.exp(fk_log_weight(V, X, cfg.dt))
-            out[tag] = wp.weight * kvs[id(V)] * float(exp_density(f, X, cfg.dt))
-        return out
+        kvs = {id(V): np.exp(lw) for V, lw in zip(Vs, fk_log_weights(Vs, X, cfg.dt))}
+        return {tag: wp.weight * kvs[id(V)] * float(exp_density(f, X, cfg.dt))
+                for tag, f, V in combos}
 
     accs = _leg(cfg, "nondeg", max(2000, cfg.n_paths // 4), _w_pass(_HEAVY, grid, fn))
     rows = []
@@ -819,50 +820,39 @@ def exp_tail_vanishing(cfg: RunConfig) -> list[IdentityCheck]:
     return rows
 
 
+def _domination_gap(v0: MeasureSpec, v1: MeasureSpec, shifts, dt: float) -> float:
+    """Largest v1(y) - v0(y + d) over the shifts d, one at a time, and all y:
+    v1's knots, v0's knots moved by -d, and a step-dt grid past both supports
+    (so the value is >= 0); for a continuous v0 the knots carry the supremum."""
+    k0, k1 = ([x for p in v.pieces for x in (p.a, p.b)] for v in (v0, v1))
+    reach = max(v0.support_radius() + float(np.max(np.abs(shifts))), v1.support_radius()) + dt
+    y0 = np.concatenate([np.arange(-reach, reach + dt, dt), k1])
+    ys = ((d, np.concatenate([y0, np.subtract(k0, d)])) for d in shifts)
+    return max(float(np.max(v1.density(y) - v0.density(y + d))) for d, y in ys)
+
+
 def exp_domination(cfg: RunConfig) -> list[IdentityCheck]:
-    """Pathwise domination of the plateau-density kernel by the box-density
-    kernel under truncated drifts; zero violations allowed, and a shrunk
-    plateau must violate."""
-    grid = cfg.grid()
-    n = grid.n
-    prop = _damped(cfg)
-    v0, v1 = MeasureSpec.bump(), V_BOX
-    v0_bad = MeasureSpec.bump(inner=0.5, outer=0.6)
+    """occ(X + h^t; v0) >= occ(X + h^T; v1) on every path X, for the plateau
+    v0 and the box v1 under truncated drifts, checked from its hypothesis:
+    v0(y + d) >= v1(y) for all y and every shift d = h^t - h^T the rows form.
+    The largest v1(y) - v0(y + d) is 0 for bump(2, 3), 1 for bump(0.5, 0.6)."""
+    n = cfg.grid().n
     T = 1.0                      # the signed drift has |h|-tail 0.6 <= 1 past T
     t_list = (1.0, 1.5, 2.0, cfg.t_max)
-    n_used = min(10_000, cfg.n_paths)
-    h_T = {}
-    for ftag, f in (("f=0", F_ZERO), ("f=signed", F_SIGNED)):
-        # the rows with t >= f.support_end coincide; only distinct ones count
-        hts = np.unique(np.stack([_grid_h(f, n, cfg.dt, T=t) for t in t_list]), axis=0)
-        h_T[ftag] = (_grid_h(f, n, cfg.dt, T=T), hts)
-
-    def fn(wp):
-        X = wp.path.values
-        out = {}
-        for ftag in ("f=0", "f=signed"):
-            hT, hts = h_T[ftag]
-            occ1 = occupation_integral(X + hT, cfg.dt, v1)
-            Xh = X[None, :] + hts
-            occ0 = occupation_integral(Xh, cfg.dt, v0)
-            occ0b = occupation_integral(Xh, cfg.dt, v0_bad)
-            out[f"{ftag}/violation"] = float(np.min(occ0 - occ1) < -1e-10)
-            out[f"{ftag}/control-violation"] = float(np.min(occ0b - occ1) < -1e-10)
-        return out
-
-    accs = _leg(cfg, "domination", n_used, _w_pass(prop, grid, fn))
     rows = []
-    for ftag in ("f=0", "f=signed"):
-        viol = accs[f"{ftag}/violation"]
-        count = EstimatorResult(mean=viol.s, std_error=0.0, n_paths=viol.n)
+    for ftag, f in (("f=0", F_ZERO), ("f=signed", F_SIGNED)):
+        hT = _grid_h(f, n, cfg.dt, T=T)
+        shifts = np.unique(np.concatenate(
+            [np.unique(_grid_h(f, n, cfg.dt, T=t) - hT) for t in t_list]))
+        gap, bad = (EstimatorResult.exact(_domination_gap(v0, V_BOX, shifts, cfg.dt))
+                    for v0 in (V_PLATEAU, MeasureSpec.bump(inner=0.5, outer=0.6)))
         rows.append(IdentityCheck.build(
-            f"domination/{ftag}", count, EstimatorResult.exact(0.0),
-            note=f"pathwise over {viol.n} draws, t in {t_list}, tail condition at T={T}"))
-        bad = accs[f"{ftag}/control-violation"]
+            f"domination/{ftag}", gap, EstimatorResult.exact(0.0),
+            note=f"max of v1(y) - v0(y + d) over y and the {len(shifts)} distinct"
+                 f" d = h^t - h^T, t in {t_list}, T={T}"))
         rows.append(IdentityCheck.must_fail(
-            f"domination/{ftag}/negative-control",
-            EstimatorResult(mean=bad.s, std_error=0.0, n_paths=bad.n),
-            EstimatorResult.exact(0.0), note="shrunk plateau must produce violations"))
+            f"domination/{ftag}/negative-control", bad, EstimatorResult.exact(0.0),
+            note="shrunk plateau must fall below the box"))
     return rows
 
 

@@ -21,7 +21,7 @@ from .integrands import Integrand, MeasureSpec
 
 __all__ = [
     "local_time_signed",
-    "occupation_integral", "fk_log_weight",
+    "occupation_integral", "fk_log_weight", "fk_log_weights",
     "wiener_integral", "exp_density",
     "phi_a", "f_phi_integral", "gaussian_envelope",
     "abs_gauss_exp_moment",
@@ -96,16 +96,26 @@ def occupation_integral(values: np.ndarray, dt: float, V: MeasureSpec,
     return dens[..., : k0 + 1] @ _trapezoid_weights(k0 + 1, dt) + 0.5 * dt * steps
 
 
-def fk_log_weight(V: MeasureSpec, values: np.ndarray, dt: float,
-                  upto: int | np.ndarray | None = None) -> np.ndarray:
-    """log K_t(V; X) = -sum_k lambda_k L_t^{x_k} - int_0^t v(X_s) ds, up to
-    node ``upto`` as in ``local_time_signed``."""
-    out = 0.0
-    for loc, lam in V.atoms:
-        out = out - lam * local_time_signed(values, level=loc, upto=upto)
-    if V.has_density:
-        out = out - occupation_integral(values, dt, V, upto=upto)
-    return out + np.zeros(np.shape(values)[:-1])
+def fk_log_weights(Vs, values: np.ndarray, dt: float,
+                   upto: int | np.ndarray | None = None) -> list[np.ndarray]:
+    """log K_t(V; X) = -sum_k lambda_k L_t^{x_k} - int_0^t v(X_s) ds for each V
+    in Vs, up to node ``upto`` as in ``local_time_signed``; one L per level."""
+    lts = {loc: local_time_signed(values, level=loc, upto=upto)
+           for loc in {loc for V in Vs for loc, _ in V.atoms}}
+    outs = []
+    for V in Vs:
+        out = 0.0
+        for loc, lam in V.atoms:
+            out = out - lam * lts[loc]
+        if V.has_density:
+            out = out - occupation_integral(values, dt, V, upto=upto)
+        outs.append(out + np.zeros(np.shape(values)[:-1]))
+    return outs
+
+
+def fk_log_weight(V: MeasureSpec, values: np.ndarray, dt: float, upto=None) -> np.ndarray:
+    """log K_t(V; X) for one V, as in ``fk_log_weights``."""
+    return fk_log_weights((V,), values, dt, upto)[0]
 
 
 # -- Wiener integrals ---------------------------------------------------------

@@ -343,17 +343,17 @@ def test_verify_deterministic_rows_keep_their_bytes(tmp_path):
         (["phi-atom", "tail-transform"],
          "82cae4918edd73517d46062061939eb22912d14cf7a01153b765833d5158152e",
          "23b5288e17d44407ac39be394c7e0e54bca98b48455cd74f9f3832711ceffc6f"),
-        # the battery without exit-density and the whole battery; the rows
-        # digests were re-recorded when markov's stopping rows took the
-        # kernel after tau as the whole-path minus the per-path-cut
-        # Feynman-Kac log weight instead of differences of prefix sums:
-        # those 3 rows moved by at most 4.2e-15 relative, results.csv did not
+        # the battery without exit-density and the whole battery; both
+        # digests were re-recorded when domination's 4 rows became the
+        # deterministic check of their hypothesis (the controls' lhs went
+        # from a count of violating draws to the gap 1, every n_paths to 0);
+        # no other row moved a bit
         ([n for n in cli.BATTERY if n != "exit-density"],
-         "41eae52defd5852d96ca28c30846d24a38d3f525de23f201d7a866f284eec914",
-         "37c5f128ed73f8b321bf0358f255e69eb64f8b0633e06f7036de4a51fa0b1d5d"),
+         "e0d7ddaf19b1210b0e5b9e3a42edf8dc7aea692e7c3791787c2208cd4ceeb170",
+         "1cf987b6e818a22018023119f5fef4481a86525b0d5063d0f094e61e9a8175b2"),
         (cli.BATTERY,
-         "77e82d83978039559d65d166f478ddbaca5b9cbee16672ccee378b16fe84231d",
-         "437450a4b947ec8d1d7729f18a8b5daeecea6cf211bb6007a89e3044419926ae"),
+         "b3fda140d13d0e5eed7af9de4cbbb9d1b3e4f8db38157a502d58b67ea5a8f55d",
+         "18a9e7e6960868fb76acc38c17d7bd13b7dddf34bf0cc1652ce15afd0cc5b795"),
     )
     for k, (names, csv_digest, rows_digest) in enumerate(cases):
         out = tmp_path / str(k)

@@ -10,7 +10,8 @@ from penalab import estimator, experiments, samplers
 from penalab.config import RunConfig
 from penalab.estimator import derive_seed
 from penalab.experiments import BATTERY, REGISTRY, envelope_rows, run_experiment
-from penalab.integrands import Integrand
+from penalab.functionals import occupation_integral
+from penalab.integrands import Integrand, MeasureSpec
 from penalab.paths import last_exit_time
 from penalab.samplers import WProposal
 
@@ -152,6 +153,48 @@ def test_domination_controls():
     assert named["domination/f=0"].lhs.mean == 0.0
     assert named["domination/f=0/negative-control"].lhs.mean > 0
     assert named["domination/f=signed"].verdict == "PASS"
+
+
+def test_domination_draws_no_paths(monkeypatch):
+    # the rows follow from the hypothesis v0(y + d) >= v1(y), not from draws
+    def no_leg(*args, **kwargs):
+        raise AssertionError("domination ran a Monte Carlo leg")
+
+    monkeypatch.setattr(experiments, "run_chunked", no_leg)
+    rows = run_experiment("domination", TOY)
+    assert [r.name for r in rows] == ["domination/f=0", "domination/f=0/negative-control",
+                                      "domination/f=signed",
+                                      "domination/f=signed/negative-control"]
+    assert all(r.verdict == "PASS" and r.tolerance == 0.0 for r in rows)
+    assert [r.lhs.mean for r in rows] == [0.0, 1.0, 0.0, 1.0]
+
+
+def test_domination_reads_the_shifts_that_occur(monkeypatch):
+    # a plateau of half-width 1.3 covers the box under the shift 0 of f=0,
+    # but not under the signed drift's shifts down to -0.6: at y = -1 it
+    # gives v0(-1.6) = 1 - 0.3 / 1.7
+    monkeypatch.setattr(experiments, "V_PLATEAU", MeasureSpec.bump(1.3, 3.0))
+    named = {r.name: r for r in run_experiment("domination", TOY)}
+    assert named["domination/f=0"].verdict == "PASS"
+    assert named["domination/f=signed"].verdict == "FAIL"
+    assert named["domination/f=signed"].lhs.mean == pytest.approx(0.3 / 1.7, rel=1e-12)
+
+
+def test_domination_hypothesis_orders_the_occupations_of_paths():
+    # what the rows stand for: with a gap of 0, occ(X + h^t; v0) >=
+    # occ(X + h^T; v1) on every path and every t; with the shrunk plateau
+    # (gap 1) a path through the box breaks it
+    dt, n = 0.01, 400
+    X = np.concatenate([np.zeros((32, 1)), np.cumsum(
+        np.random.default_rng(62).standard_normal((32, n)) * np.sqrt(dt), axis=1)], axis=1)
+    f = experiments.F_SIGNED
+    hT = f.primitive_on_grid(np.arange(n + 1) * dt, T=1.0)
+    occ1 = occupation_integral(X + hT, dt, experiments.V_BOX)
+    for t in (1.0, 1.5, 2.0, 4.0):
+        Xh = X + f.primitive_on_grid(np.arange(n + 1) * dt, T=t)
+        assert np.all(occupation_integral(Xh, dt, experiments.V_PLATEAU) >= occ1)
+        shrunk = occupation_integral(Xh, dt, MeasureSpec.bump(inner=0.5, outer=0.6))
+        assert np.any(shrunk < occ1)
 
 
 def test_tail_vanishing_control_present():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import special
 
+from penalab import functionals
 from penalab.functionals import (abs_gauss_exp_moment, exp_density, f_phi_integral, fk_log_weight,
-                                 gaussian_envelope, local_time_signed,
+                                 fk_log_weights, gaussian_envelope, local_time_signed,
                                  occupation_integral, phi_a, wiener_integral)
 from penalab.integrands import Integrand, MeasureSpec
 from penalab.paths import SamplePath, hitting_index, last_exit_index, make_grid
@@ -158,6 +159,40 @@ def test_zero_length_cut_is_exactly_zero():
         np.testing.assert_array_equal(fk_log_weight(V, X, dt, upto=np.zeros(8, int)), 0.0)
         np.testing.assert_array_equal(fk_log_weight(V, X, dt, upto=0), 0.0)
         np.testing.assert_array_equal(local_time_signed(X, level=0.5, upto=0), 0.0)
+
+
+def _fk_log_weight_one(V, values, dt, upto=None):
+    """log K(V) for one V, computing its own local time per atom: the
+    one-V formula, kept as the reference for the shared local times."""
+    out = 0.0
+    for loc, lam in V.atoms:
+        out = out - lam * local_time_signed(values, level=loc, upto=upto)
+    if V.has_density:
+        out = out - occupation_integral(values, dt, V, upto=upto)
+    return out + np.zeros(np.shape(values)[:-1])
+
+
+def test_fk_log_weights_share_one_local_time_per_level(monkeypatch):
+    # nondeg-bound's three V read the level-0 local time once, and each
+    # weight keeps the one-V arithmetic 0.0 - lam * L (+ 0) bit for bit
+    dt = 0.01
+    X = bm_matrix(16, 300, dt, seed=61)
+    Vs = (MeasureSpec.point(0.0, 1.0), MeasureSpec.point(0.0, 2.0),
+          MeasureSpec.box(-1.0, 1.0, 1.0), *(V for _, V in _CUT_VS))
+    for x, upto in ((X, None), (X[3], None), (X, 120), (X, np.arange(16) * 15)):
+        for V, got in zip(Vs, fk_log_weights(Vs, x, dt, upto=upto)):
+            np.testing.assert_array_equal(got, _fk_log_weight_one(V, x, dt, upto=upto))
+            np.testing.assert_array_equal(fk_log_weight(V, x, dt, upto=upto), got)
+    levels = []
+    real = functionals.local_time_signed
+
+    def spy(values, level=0.0, upto=None):
+        levels.append(level)
+        return real(values, level=level, upto=upto)
+
+    monkeypatch.setattr(functionals, "local_time_signed", spy)
+    fk_log_weights(Vs, X, dt)
+    assert sorted(levels) == [-0.5, 0.0, 0.5]
 
 
 def _log_kernel_after(V, X, dt, k):
