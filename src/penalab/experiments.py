@@ -30,7 +30,7 @@ from .functionals import (abs_gauss_exp_moment, exp_density, f_phi_integral,
                           local_time_signed, phi_a, wiener_integral)
 from .integrands import Integrand, MeasureSpec
 from .paths import TimeGrid, hitting_index, last_exit_index, last_exit_time
-from .samplers import WProposal, _bridge_values, sample_W, substream
+from .samplers import WProposal, sample_W, substream
 from .sturm import BOX_L, DX, atomic_phi_oracle, scale_gamma, solve_phi
 
 __all__ = ["REGISTRY", "BATTERY", "run_experiment", "check_horizon", "envelope_rows"]
@@ -42,6 +42,7 @@ F_UNIT = Integrand.step([0.0, 1.0], [1.0])
 F_HALF = Integrand.step([0.0, 1.0], [0.5])
 F_STEP3 = Integrand.step([0.0, 0.5, 1.0, 1.5], [1.0, -0.5, 0.25])
 F_SIGNED = Integrand.step([0.0, 1.0, 2.0], [0.6, -0.6])
+F_MID = Integrand.step([0.0, 0.5], [1.0])
 
 V_D0 = MeasureSpec.point(0.0, 1.0)
 V_2D0 = MeasureSpec.point(0.0, 2.0)
@@ -51,10 +52,6 @@ V_PLATEAU = MeasureSpec.bump()          # dominates V_BOX under domination's shi
 
 def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x)))
-
-
-def _m0(u):
-    return 1.0 / np.sqrt(2.0 * np.pi * u)
 
 
 def _m0_mass(a: float, lo: float, hi: float) -> float:
@@ -169,13 +166,13 @@ def _leg(cfg: RunConfig, tag: str, n: int, chunk_fn) -> dict:
     return run_chunked(n, derive_seed(cfg.master_seed, tag), chunk_fn, cfg.n_workers)
 
 
-def _w_pass(prop: WProposal, grid: TimeGrid, fn, **cut):
+def _w_pass(prop: WProposal, grid: TimeGrid, fn, need: int | None = None):
     """Chunk function over sigma-finite draws: fn(wp) -> {name: value} on
-    sample_W(prop, grid, gen, **cut), each value flagged with the draw's
-    censoring; cut is need=k or reach=r, or nothing for full draws."""
+    sample_W(prop, grid, gen, need=need), each value flagged with the draw's
+    censoring; need=None draws full paths."""
 
     def make(gen):
-        wp = sample_W(prop, grid, gen, **cut)
+        wp = sample_W(prop, grid, gen, need=need)
         return {k: (v, wp.censored) for k, v in fn(wp).items()}
 
     return path_pass(make)
@@ -315,12 +312,14 @@ def exp_kernel_identity(cfg: RunConfig) -> list[IdentityCheck]:
     ts = (1.0, 4.0)
     rows = []
     phis = {tag: _phi_hat(V) for tag, V in Vs}
+    measures = [V for _, V in Vs]       # one local time per level for all three
     for x in (0.0, 1.0):
         def eval_lhs(X):
             out = {}
-            for tag, V in Vs:
+            log_ks = fk_log_weights(measures, X, cfg.dt)
+            for (tag, _), log_k in zip(Vs, log_ks):
                 phi_f = phis[tag][0]
-                kfull = np.exp(fk_log_weight(V, X, cfg.dt))
+                kfull = np.exp(log_k)
                 tail = phi_f(X[:, -1])
                 for t in ts:
                     for zn, z in _z_battery(X, int(round(t / cfg.dt))):
@@ -334,10 +333,10 @@ def exp_kernel_identity(cfg: RunConfig) -> list[IdentityCheck]:
 
             def eval_rhs(X):
                 out = {}
-                for tag, V in Vs:
+                log_ks = fk_log_weights(measures, X, cfg.dt)
+                for (tag, _), log_k in zip(Vs, log_ks):
                     phi_f = phis[tag][0]
-                    kpart = np.exp(fk_log_weight(V, X, cfg.dt))
-                    val = phi_f(X[:, -1]) * kpart
+                    val = phi_f(X[:, -1]) * np.exp(log_k)
                     for zn, z in _z_battery(X, kt):
                         out[f"{tag}/{zn}"] = (z * val, None)
                 return out
@@ -365,6 +364,7 @@ def exp_markov(cfg: RunConfig) -> list[IdentityCheck]:
     kU = int(round(U / cfg.dt))
     Vs = (("V=d0", V_D0), ("V=2d0", V_2D0), ("V=box", V_BOX))
     phis = {tag: _phi_hat(V) for tag, V in Vs}
+    measures = [V for _, V in Vs]       # one local time per level for all three
     rows = []
 
     def eval_lhs(X):
@@ -374,15 +374,16 @@ def exp_markov(cfg: RunConfig) -> list[IdentityCheck]:
         hits = (hitting_index(row[: kT + 1], 1.0) for row in X)
         k_tau = np.array([kT if k is None else k for k in hits])
         z_tau = _sigmoid(X[rowsn, k_tau])
-        for tag, V in Vs:
+        # log K(V) of each V to the end, to T and to tau ^ T
+        cuts = [fk_log_weights(measures, X, cfg.dt, upto=k) for k in (None, kT, k_tau)]
+        for (tag, _), log_k, log_T, log_tau in zip(Vs, *cuts):
             phi_f = phis[tag][0]
-            log_k = fk_log_weight(V, X, cfg.dt)
             tail = phi_f(X[:, -1])
-            val = np.exp(log_k - fk_log_weight(V, X, cfg.dt, upto=kT)) * tail
+            val = np.exp(log_k - log_T) * tail
             for zn, z in _z_battery(X, kT):
                 out[f"{tag}/fixed/{zn}"] = (z * val, None)
             # stopping-time variant: the kernel accrued on (tau, U]
-            log_after_tau = log_k - fk_log_weight(V, X, cfg.dt, upto=k_tau)
+            log_after_tau = log_k - log_tau
             out[f"{tag}/stopping"] = (z_tau * np.exp(log_after_tau) * tail, None)
             out[f"{tag}/stopping-rhs-aux"] = (z_tau * phi_f(X[rowsn, k_tau]), None)
         return out
@@ -431,25 +432,23 @@ def exp_tau0(cfg: RunConfig) -> list[IdentityCheck]:
     xs = (-1.0, -0.5, 0.5, 1.0)
 
     def fn(wp):
-        out = {}
-        for x in xs:
-            never = hitting_index(wp.path.values + x, 0.0) is None
-            out[f"x={x}"] = wp.weight * float(never)
-        return out
+        # the leg eps * R passes every level of sign eps and none of the
+        # other, so path + x never hits 0 when x has the leg's sign and the
+        # bridge + x does not hit it: the draw stops at the bridge end
+        bridge = wp.path.values
+        return {f"x={x}": wp.weight * float(wp.eps == np.sign(x)
+                                            and hitting_index(bridge + x, 0.0) is None)
+                for x in xs}
 
-    # a level of the leg's own sign is never hit, one of the other sign is hit
-    # where |path| first reaches |x|: the draw stops at max |x|
-    accs = _leg(cfg, "tau0", cfg.n_paths // 2,
-                _w_pass(_HEAVY, grid, fn, reach=max(abs(x) for x in xs)))
+    accs = _leg(cfg, "tau0", cfg.n_paths // 2, _w_pass(_HEAVY, grid, fn, need=0))
     rows = []
     for x in xs:
         tail = _tau0_tail(x, cfg.t_max)
         body = accs[f"x={x}"].result()
         est = EstimatorResult(mean=body.mean + tail, std_error=body.std_error,
                               n_paths=body.n_paths, censor_rate=body.censor_rate)
-        # barrier-shift bias of grid crossing detection + undetected late
-        # Bessel crossings (mean ball-exit time bound)
-        budget = 0.65 * np.sqrt(cfg.dt) + 0.5 * (x * x / 3.0) * _m0(max(1.0, cfg.t_max - 4 * x * x))
+        # barrier-shift bias of grid crossing detection on the bridge
+        budget = 0.65 * np.sqrt(cfg.dt)
         rows.append(IdentityCheck.build(
             f"tau0/x={x}", est, EstimatorResult.exact(abs(x)), extra_budget=budget,
             note=f"analytic tail beyond horizon = {tail:.6f} (closed form)"))
@@ -464,7 +463,6 @@ def exp_cm_brownian(cfg: RunConfig) -> list[IdentityCheck]:
     numbers; the f = 0 control must give a difference of exactly zero."""
     T = 8.0
     n_steps = int(round(T / cfg.dt))
-    f = F_UNIT
     k1 = int(round(1.0 / cfg.dt))
     rows = []
 
@@ -475,31 +473,33 @@ def exp_cm_brownian(cfg: RunConfig) -> list[IdentityCheck]:
                 "F=sigmoid(X1)": _sigmoid(X[:, k1]),
                 "F=exp(-L1)": np.exp(-ltz)}
 
-    for ftag, fi in (("f=0", F_ZERO), ("f=unit", f)):
-        h = _grid_h(fi, n_steps, cfg.dt)
+    drifts = (("f=0", F_ZERO), ("f=unit", F_UNIT))
+    hs = {ftag: _grid_h(fi, n_steps, cfg.dt) for ftag, fi in drifts}
 
-        def eval_matrix(X, fi=fi, h=h, ftag=ftag):
-            lhs = battery(X + h)
+    def eval_matrix(X):
+        # both drifts on the same paths: the f=0 diffs are exactly 0 on any
+        # path, so they need no leg of their own
+        rhs = battery(X)
+        out = {}
+        for ftag, fi in drifts:
+            lhs = battery(X + hs[ftag])
             ee = exp_density(fi, X, cfg.dt)
-            rhs = battery(X)
-            out = {}
             for k in lhs:
-                out[f"{k}/diff"] = (lhs[k] - rhs[k] * ee, None)
-            if ftag == "f=unit":
-                # closed-form oracle leg on the same paths: E sigmoid(X_1 + h_1)
-                out["oracle"] = (_sigmoid(X[:, k1] + 1.0), None)
-            return out
+                out[f"{ftag}/{k}/diff"] = (lhs[k] - rhs[k] * ee, None)
+        # closed-form oracle leg on the same paths: E sigmoid(X_1 + h_1)
+        out["oracle"] = (_sigmoid(X[:, k1] + 1.0), None)
+        return out
 
-        accs = _leg(cfg, f"cm-{ftag}", cfg.n_paths,
-                    bm_chunk_pass(0.0, n_steps, cfg.dt, eval_matrix))
+    accs = _leg(cfg, "cm-f=unit", cfg.n_paths, bm_chunk_pass(0.0, n_steps, cfg.dt, eval_matrix))
+    for ftag, _ in drifts:
         for k in ("F=exp(-g^T)", "F=sigmoid(X1)", "F=exp(-L1)"):
-            d = accs[f"{k}/diff"].result()
+            d = accs[f"{ftag}/{k}/diff"].result()
             budget = 0.0 if ftag == "f=0" else 0.3 * np.sqrt(cfg.dt) * (k == "F=exp(-L1)")
             rows.append(IdentityCheck.build(
                 f"cm-brownian/{ftag}/{k}", d, EstimatorResult.exact(0.0),
                 extra_budget=budget,
                 note="paired difference" + ("; exact-zero control" if ftag == "f=0" else "")))
-    # the oracle's target by Gauss-Hermite; accs holds the f=unit leg
+    # the oracle's target by Gauss-Hermite
     zs, ws = np.polynomial.hermite.hermgauss(96)
     target = float(np.dot(ws, _sigmoid(np.sqrt(2.0) * zs + 1.0)) / np.sqrt(np.pi))
     rows.append(IdentityCheck.build(
@@ -692,20 +692,15 @@ def exp_exit_density(cfg: RunConfig) -> list[IdentityCheck]:
         rows.append(IdentityCheck.build(
             f"exit-density/bin({lo},{hi}]", lhs, rhs,
             note="translated-law bin mass, drift-density weighted form"))
-    # pinned-bridge spot value at u = 1: every draw equals exp(-1/2) exactly
-    gen = substream(derive_seed(cfg.master_seed, "exit-spot"), 0)
-    ku = int(round(1.0 / cfg.dt))
-    ends = np.empty(2000)
-    for i in range(len(ends)):
-        b = _bridge_values(ku, cfg.dt, gen)
-        ends[i] = b[-1] - b[0]
-    spot = np.exp(ends - 0.5)
-    lhs = EstimatorResult(mean=float(spot.mean()),
-                          std_error=float(spot.std() / np.sqrt(len(spot))),
-                          n_paths=len(spot))
+    # bridge factor at u = 1 for the drift 1 on (0, 1/2]: it reads the bridge
+    # at s = 1/2 (snapped), of variance s (1 - s), so E exp(b_s - 1/4) is exact
+    m, se = _exit_factors(cfg, F_MID, 1.0, "spot", 2000)
+    s_mid = round(0.5 / cfg.dt) * cfg.dt
     rows.append(IdentityCheck.build(
-        "exit-density/pinned-spot-u=1", lhs, EstimatorResult.exact(np.exp(-0.5)),
-        note="bridge pins the integral: zero variance"))
+        "exit-density/pinned-spot-u=1",
+        EstimatorResult(mean=float(m), std_error=float(se), n_paths=2000),
+        EstimatorResult.exact(np.exp(0.5 * s_mid * (1.0 - s_mid) - 0.25)),
+        note="pinned bridge at its snapped midpoint: lognormal mean"))
     for k in (0, 4):
         lo, hi = edges[k], edges[k + 1]
         got = accs[f"f0bin{k}"].result(budget=cfg.dt)

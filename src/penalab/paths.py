@@ -77,11 +77,13 @@ class WeightedPath:
     """One draw against the sigma-finite measure: path + importance weight.
 
     u is the sampled bridge length (the last exit time from 0 by
-    construction); the path value at index(u) is exactly 0.
+    construction); the path value at index(u) is exactly 0.  eps is the
+    sign of the path after index(u), drawn even when that leg is not.
     """
     path: SamplePath
     weight: float
     u: float
+    eps: float
     censored: bool = False
 
     def __post_init__(self):

@@ -19,10 +19,10 @@ prefix of the full draw; it serves functionals that read the path only up
 to max(index(u), k), and its grid is the prefix's, not the horizon's.  With
 k = 0 the draw stops at the end of the bridge: w-oracle's rows read only
 g = u, and it redraws the first 64 of those draws in full to check that the
-last exit equals u.  A draw can also grow its Bessel leg on demand
-(``sample_W(..., reach=r)``), block by block, until |path| first reaches r:
-tau0 reads only whether path + x hits 0 for |x| <= 1, which that step
-settles.
+last exit equals u.  Every draw also carries its sign eps.  The leg
+eps * R, with R a BES(3) from 0, is continuous and tends to eps * infinity,
+so path + x hits 0 on it exactly when x's sign is not eps: tau0 reads only
+a need=0 draw and its sign.
 
 Two proposals are available for the bridge-length integral du / sqrt(2 pi u):
 
@@ -54,8 +54,6 @@ __all__ = [
 ]
 
 GAMMA_TAIL_LIMIT = 1e-6
-# rows of the first block of a Bessel leg drawn on demand (a finite reach)
-_REACH_BLOCK = 64
 
 
 class _PhiloxKey(ISeedSequence):
@@ -122,36 +120,15 @@ def sample_bridge(u: float, dt: float, rng: np.random.Generator) -> SamplePath:
     return SamplePath(grid=grid, values=_bridge_values(ku, dt, rng))
 
 
-def _bessel3_values(a: float, n: int, dt: float, rng: np.random.Generator,
-                    reach: float | None = None) -> np.ndarray:
-    """Norm of a 3-d Brownian motion from (a, 0, 0) at steps 0..n; with a
-    ``reach``, only up to and including its first value at or above it (all
-    n + 1 values if none gets there).
-
-    A reach draws the rows in blocks (the first of ``_REACH_BLOCK`` rows,
-    each next one twice as long) that continue the generator; each block
-    adds the raw running sum of the last one to its first row before its own
-    cumsum, so every value equals the one-block value bit for bit.  The
-    normals of the block past the stop are drawn and left unread."""
+def _bessel3_values(a: float, n: int, dt: float, rng: np.random.Generator) -> np.ndarray:
+    """Norm of a 3-d Brownian motion from (a, 0, 0) at steps 0..n."""
     out = np.empty(n + 1)
     out[0] = a
-    done, rows, carry = 0, (n if reach is None else _REACH_BLOCK), None
-    while done < n:
-        w = rng.standard_normal((min(rows, n - done), 3))
-        if carry is not None:
-            w[0] += carry
-        np.cumsum(w, axis=0, out=w)
-        carry = w[-1].copy()
-        w *= np.sqrt(dt)
-        w[:, 0] += a
-        r = out[done + 1: done + 1 + len(w)]
-        np.sqrt(np.einsum("ij,ij->i", w, w), out=r)
-        if reach is not None:
-            hit = np.flatnonzero(r >= reach)
-            if hit.size:
-                return out[: done + hit[0] + 2]
-        done += len(w)
-        rows *= 2
+    w = rng.standard_normal((n, 3))
+    np.cumsum(w, axis=0, out=w)
+    w *= np.sqrt(dt)
+    w[:, 0] += a
+    np.sqrt(np.einsum("ij,ij->i", w, w), out=out[1:])
     return out
 
 
@@ -222,35 +199,31 @@ class WProposal:
 
 
 def sample_W(proposal: WProposal, grid: TimeGrid, rng: np.random.Generator,
-             need: int | None = None, reach: float | None = None) -> WeightedPath:
-    """One weighted draw: bridge of sampled length u glued to a symmetrized
-    Bessel path, with the importance weight of the proposal.
+             need: int | None = None) -> WeightedPath:
+    """One weighted draw: bridge of sampled length u glued to eps times a
+    Bessel(3) path from 0, with the importance weight of the proposal and
+    the sign eps.
 
     The mean of weight * F(path) over draws estimates the sigma-finite
     integral of F (restricted to {g <= t_max} for the heavy proposal).
 
     With ``need`` the Bessel leg stops at m = min(grid.n, max(index(u), need))
-    and the path lives on ``grid.restricted(m)``: its values, weight, u and
-    censor flag are a bit-exact prefix of the full draw from the same
-    generator.  Such a draw serves only functionals that read indices up to
-    m; ``path.grid.n`` and ``last_exit_time(path).censored`` describe the
-    prefix, not the horizon, and must not be read.
-
-    With ``reach`` the Bessel leg is drawn on demand and stops at its first
-    step where |path| >= reach, or where it would stop without one if it
-    never gets there; the result is again a bit-exact prefix of the full
-    draw, and the generator is left where the last block ended."""
+    and the path lives on ``grid.restricted(m)``: its values, weight, u,
+    sign and censor flag are a bit-exact prefix of the full draw from the
+    same generator.  Such a draw serves only functionals that read indices
+    up to m (or the sign); ``path.grid.n`` and
+    ``last_exit_time(path).censored`` describe the prefix, not the horizon,
+    and must not be read."""
     proposal.validate(grid.t_max)
     u_raw, w, censored = proposal.draw(grid.t_max, rng)
     ku = min(max(int(round(u_raw / grid.dt)), 1), grid.n - 1)
     bridge = _bridge_values(ku, grid.dt, rng)
     eps = 1.0 if rng.random() < 0.5 else -1.0
     m = grid.n if need is None else min(grid.n, max(ku, need))
-    bes = _bessel3_values(0.0, m - ku, grid.dt, rng, reach)
-    m = ku + len(bes) - 1
+    bes = _bessel3_values(0.0, m - ku, grid.dt, rng)
     v = np.empty(m + 1)
     v[: ku + 1] = bridge
     np.multiply(bes, eps, out=v[ku:])
     v[ku] = 0.0
     path = SamplePath(grid=grid if m == grid.n else grid.restricted(m), values=v)
-    return WeightedPath(path=path, weight=w, u=ku * grid.dt, censored=censored)
+    return WeightedPath(path=path, weight=w, u=ku * grid.dt, eps=eps, censored=censored)

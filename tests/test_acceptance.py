@@ -106,8 +106,9 @@ def test_criterion_08_translated_exit_density():
     rows = rows_of("exit-density")
     named = {r.name: r for r in rows}
     spot = named["exit-density/pinned-spot-u=1"]
-    assert spot.lhs.std_error == 0.0
-    assert spot.lhs.mean == pytest.approx(np.exp(-0.5), abs=1e-12)
+    # the bridge of length 1 read at its midpoint: exp(s(1 - s)/2 - 1/4), exact
+    assert spot.rhs.std_error == 0.0 and spot.lhs.std_error > 0.0
+    assert spot.rhs.mean == pytest.approx(np.exp(-0.125), abs=1e-12)
     _assert_all_pass(rows, 8, "binned exit law matches the product formula")
 
 

@@ -344,16 +344,16 @@ def test_verify_deterministic_rows_keep_their_bytes(tmp_path):
          "82cae4918edd73517d46062061939eb22912d14cf7a01153b765833d5158152e",
          "23b5288e17d44407ac39be394c7e0e54bca98b48455cd74f9f3832711ceffc6f"),
         # the battery without exit-density and the whole battery; both
-        # digests were re-recorded when domination's 4 rows became the
-        # deterministic check of their hypothesis (the controls' lhs went
-        # from a count of violating draws to the gap 1, every n_paths to 0);
-        # no other row moved a bit
+        # digests were re-recorded when tau0 read the Bessel leg's sign
+        # instead of its path (its 4 tolerances lost the late-crossing
+        # allowance, lhs and se kept every bit) and the pinned-spot row
+        # became the bridge factor at its midpoint; no other row moved a bit
         ([n for n in cli.BATTERY if n != "exit-density"],
-         "e0d7ddaf19b1210b0e5b9e3a42edf8dc7aea692e7c3791787c2208cd4ceeb170",
-         "1cf987b6e818a22018023119f5fef4481a86525b0d5063d0f094e61e9a8175b2"),
+         "1bbacd23f22d31111caf28fd6ba7a68f048f0d5a8a4a60fd3581c01ef16d5dec",
+         "3de82913566448e978c9947d3ec9d1afa977a5d69450b5110517493409af0b7b"),
         (cli.BATTERY,
-         "b3fda140d13d0e5eed7af9de4cbbb9d1b3e4f8db38157a502d58b67ea5a8f55d",
-         "18a9e7e6960868fb76acc38c17d7bd13b7dddf34bf0cc1652ce15afd0cc5b795"),
+         "0c8c8dcbc3c9f61add6ddcadf0741e2c34253fa5518ae77c80d5715d54a73a75",
+         "699271bfe919e1f2242f6fa47b26b1d117bceeaae49bd1460f181dfbcd97ab8e"),
     )
     for k, (names, csv_digest, rows_digest) in enumerate(cases):
         out = tmp_path / str(k)

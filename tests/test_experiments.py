@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from penalab import estimator, experiments, samplers
+from penalab import estimator, experiments, functionals, samplers
 from penalab.config import RunConfig
 from penalab.estimator import derive_seed
 from penalab.experiments import BATTERY, REGISTRY, envelope_rows, run_experiment
@@ -108,8 +108,8 @@ def test_w_oracle_structural_check_catches_a_broken_bessel_leg(monkeypatch):
     # every full draw; the bridge-only draws of the alpha rows never see it
     real = samplers._bessel3_values
 
-    def broken(a, n, dt, rng, reach=None):
-        out = real(a, n, dt, rng, reach)
+    def broken(a, n, dt, rng):
+        out = real(a, n, dt, rng)
         if n > 1:
             out[len(out) // 2:] *= -1.0
         return out
@@ -123,7 +123,8 @@ def test_w_oracle_structural_check_catches_a_broken_bessel_leg(monkeypatch):
 
 
 def test_cm_brownian_runs_one_leg_per_drift(monkeypatch):
-    # the oracle row reads the f=unit leg's paths instead of redrawing them
+    # both drifts and the oracle row read the f=unit leg's paths: the f=0
+    # diffs are exactly 0 on any path, so they need no leg of their own
     seeds = []
     real = experiments.run_chunked
 
@@ -133,8 +134,7 @@ def test_cm_brownian_runs_one_leg_per_drift(monkeypatch):
 
     monkeypatch.setattr(experiments, "run_chunked", spy)
     rows = run_experiment("cm-brownian", TOY)
-    assert sorted(seeds) == sorted(derive_seed(TOY.master_seed, f"cm-{f}")
-                                   for f in ("f=0", "f=unit"))
+    assert seeds == [derive_seed(TOY.master_seed, "cm-f=unit")]
     assert "cm-brownian/oracle/sigmoid-shift" in [r.name for r in rows]
 
 
@@ -300,22 +300,50 @@ def test_exit_density_holds_bounded_blocks():
     assert peak < 8 * 2 ** 20, peak
 
 
-def test_tau0_draws_stop_on_demand(monkeypatch):
-    # one sample_W call per draw, each stopping where |path| reaches 1
-    calls = []
-    real = experiments.sample_W
+def test_tau0_reads_only_the_bridge_and_the_sign(monkeypatch):
+    # one need=0 sample_W call per draw, and every Bessel leg is empty
+    calls, legs = [], []
+    real_draw, real_leg = experiments.sample_W, samplers._bessel3_values
 
-    def spy(prop, grid, rng, need=None, reach=None):
-        wp = real(prop, grid, rng, need=need, reach=reach)
-        calls.append((need, reach, wp.path.grid.n < grid.n))
-        return wp
+    def spy_draw(prop, grid, rng, need=None):
+        calls.append(need)
+        return real_draw(prop, grid, rng, need=need)
 
-    monkeypatch.setattr(experiments, "sample_W", spy)
+    def spy_leg(a, n, dt, rng):
+        legs.append(n)
+        return real_leg(a, n, dt, rng)
+
+    monkeypatch.setattr(experiments, "sample_W", spy_draw)
+    monkeypatch.setattr(samplers, "_bessel3_values", spy_leg)
     rows = run_experiment("tau0", TOY)
     assert all(r.verdict == "PASS" for r in rows)
-    assert len(calls) == TOY.n_paths // 2
-    assert {(need, reach) for need, reach, _ in calls} == {(None, 1.0)}
-    assert sum(cut for *_, cut in calls) > 0.9 * len(calls)
+    assert calls == [0] * (TOY.n_paths // 2)
+    assert legs == [0] * (TOY.n_paths // 2)
+
+
+def test_kernel_identity_and_markov_share_one_local_time_per_matrix(monkeypatch):
+    # the three V of a chunk matrix read one level-0 local time per cut:
+    # kernel-identity one per leg's chunk (6 legs of 1 chunk), markov one
+    # per cut of its lhs chunk (the whole path, upto=kT, upto=tau ^ T)
+    calls = []
+    real = functionals.local_time_signed
+
+    def spy(values, level=0.0, upto=None):
+        calls.append((values, level, upto))
+        return real(values, level=level, upto=upto)
+
+    monkeypatch.setattr(functionals, "local_time_signed", spy)
+    cfg = RunConfig(dt=0.01, n_paths=512, master_seed=13)
+    counts = {}
+    for name in ("kernel-identity", "markov"):
+        calls.clear()
+        rows = run_experiment(name, cfg)
+        assert all(r.verdict == "PASS" for r in rows), name
+        assert {level for _, level, _ in calls} == {0.0}
+        keys = [(id(v), None if k is None else np.asarray(k).tobytes()) for v, _, k in calls]
+        assert len(set(keys)) == len(keys), name
+        counts[name] = len(calls)
+    assert counts == {"kernel-identity": 6, "markov": 3}
 
 
 def test_declared_gamma_proposals_are_the_drawn_ones(monkeypatch):

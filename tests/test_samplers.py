@@ -253,50 +253,32 @@ def test_heavy_proposal_weight_density_identity():
         assert w * q == pytest.approx(1.0 / np.sqrt(2 * np.pi * u), rel=1e-12)
 
 
-def _philox_words(gen):
-    st = gen.bit_generator.state
-    c = st["state"]["counter"]
-    return 4 * sum(int(c[k]) << (64 * k) for k in range(4)) - (4 - int(st["buffer_pos"]))
-
-
-def test_w_reach_draw_is_prefix_that_settles_every_level():
-    # tau0's draw: the Bessel leg stops at its first step at or above 1,
-    # which settles whether path + x ever hits 0 for every |x| <= 1
+def test_w_sign_settles_which_levels_the_bessel_leg_hits():
+    # eps is the sign of the leg after index(u); tau0's rule reads a need=0
+    # draw and eps, and agrees with the full path wherever the leg of the
+    # other sign reaches |x| by the horizon; the rule counts the rest as hit,
+    # where the full path sees only its bridge (the 0.5-long horizon)
     xs = (-1.0, -0.5, 0.5, 1.0)
-    grid = make_grid(40.0, 0.01)
+    heavy, gamma = WProposal(kind="heavy", theta=10.0), WProposal(kind="gamma", theta=1.0)
     seen = set()
-    for prop in (WProposal(kind="heavy", theta=10.0), WProposal(kind="gamma", theta=1.0)):
+    for prop, grid in ((heavy, make_grid(40.0, 0.01)), (gamma, make_grid(40.0, 0.01)),
+                       (heavy, make_grid(0.5, 0.01))):
         for i in range(120):
-            g_full, g_cut = substream(43, i), substream(43, i)
-            full = sample_W(prop, grid, g_full)
-            cut = sample_W(prop, grid, g_cut, reach=1.0)
-            m = cut.path.grid.n
-            np.testing.assert_array_equal(cut.path.values, full.path.values[: m + 1])
-            assert (cut.weight, cut.u, cut.censored) == (full.weight, full.u, full.censored)
+            full = sample_W(prop, grid, substream(43, i))
+            cut = sample_W(prop, grid, substream(43, i), need=0)
+            ku = grid.index(full.u)
+            leg = full.path.values[ku + 1:]
+            assert cut.eps == full.eps == np.sign(leg[0])
+            assert np.all(np.sign(leg) == full.eps)
             for x in xs:
-                assert (hitting_index(cut.path.values + x, 0.0) is None) == \
-                    (hitting_index(full.path.values + x, 0.0) is None)
-            assert _philox_words(g_cut) <= _philox_words(g_full)
-            ku = grid.index(cut.u)
-            leg = np.abs(cut.path.values[ku + 1:])
-            assert m == grid.n or (leg[-1] >= 1.0 and np.all(leg[:-1] < 1.0))
-            seen.add((prop.kind, np.sign(full.path.values[-1]), m < grid.n))
-    assert {(k, s, True) for k in ("heavy", "gamma") for s in (-1.0, 1.0)} <= seen
-
-
-def test_w_reach_falls_back_to_the_full_path():
-    # on a 0.2-long horizon the Bessel leg rarely reaches 1; at a level of
-    # 100 it never does, and the draw is the full one, normals and all
-    prop = WProposal(kind="heavy", theta=10.0)
-    for grid, level in ((make_grid(0.2, 0.01), 1.0), (make_grid(40.0, 0.01), 100.0)):
-        fell_back = 0
-        for i in range(40):
-            g_full, g_cut = substream(47, i), substream(47, i)
-            full = sample_W(prop, grid, g_full)
-            cut = sample_W(prop, grid, g_cut, reach=level)
-            if np.max(np.abs(full.path.values)) < level:
-                fell_back += 1
-                assert cut.path.grid == grid
-                np.testing.assert_array_equal(cut.path.values, full.path.values)
-                assert _philox_words(g_cut) == _philox_words(g_full)
-        assert fell_back >= 20
+                rule = cut.eps == np.sign(x) and hitting_index(cut.path.values + x, 0.0) is None
+                never = hitting_index(full.path.values + x, 0.0) is None
+                settled = full.eps == np.sign(x) or np.max(np.abs(leg)) >= abs(x)
+                if settled:
+                    assert rule == never, (prop.kind, grid.t_max, i, x)
+                else:
+                    assert not rule
+                    assert never == (hitting_index(cut.path.values + x, 0.0) is None)
+                seen.add((prop.kind, grid.t_max, full.eps, settled))
+    assert {(k, 40.0, s, True) for k in ("heavy", "gamma") for s in (-1.0, 1.0)} <= seen
+    assert ("heavy", 0.5, -1.0, False) in seen and ("heavy", 0.5, 1.0, False) in seen
